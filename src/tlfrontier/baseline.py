@@ -9,48 +9,27 @@ isolates the frontier-selection policy.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from .env import ACTIONS, STAY, Cell, GridMap, KnownSet, frontiers
 from .planner import UNSATISFIABLE, EpisodeResult, PlannerConfig, _Episode
 from .product import ProductState, accepting_reachable
 from .scltl.dfa import TotalDfa
+from .search import bfs, path
 
 
 def _grid_shortest_paths(grid: GridMap, k: KnownSet, src: Cell):
-    """Dijkstra over known cells honoring the (one-way) transition function,
-    ignoring the automaton entirely."""
-    weights = {src: 0}
-    parents = {}
-    heap = [(0, src)]
-    while heap:
-        w, cell = heapq.heappop(heap)
-        if w > weights.get(cell, w):
-            continue
+    """Hop counts over known cells honoring the (one-way) transition
+    function, ignoring the automaton entirely."""
+
+    def successors(cell):
         for action in ACTIONS:
-            if action == STAY:
-                continue
-            nxt = grid.move(cell, action)
-            if nxt is None or nxt not in k:
-                continue
-            nw = w + grid.weight(cell, action)
-            if nw < weights.get(nxt, nw + 1):
-                weights[nxt] = nw
-                parents[nxt] = (cell, action)
-                heapq.heappush(heap, (nw, nxt))
-    return weights, parents
+            if action != STAY:
+                nxt = grid.move(cell, action)
+                if nxt is not None and nxt in k:
+                    yield action, nxt
 
-
-def _cell_path(parents: dict, src: Cell, dst: Cell) -> list:
-    steps = []
-    cell = dst
-    while cell != src:
-        prev, action = parents[cell]
-        steps.append((action, cell))
-        cell = prev
-    steps.reverse()
-    return steps
+    return bfs([src], successors)
 
 
 def run_baseline(
@@ -64,28 +43,28 @@ def run_baseline(
     ep = _Episode(grid, dfa, cfg)
 
     while True:
-        if accepting_reachable(ep.graph, ep.cur):
+        if accepting_reachable(ep.graph):
             return ep.execute_satisfying_path()
         fs = frontiers(grid, ep.known)
         if not fs:
             return ep.result(UNSATISFIABLE, reason="no frontiers remain")
 
-        weights, parents = _grid_shortest_paths(grid, ep.known, ep.cur.cell)
+        hops, parents = _grid_shortest_paths(grid, ep.known, ep.cur.cell)
         ranked = sorted(
-            (cell for cell in fs if cell in weights and weights[cell] > 0),
-            key=lambda c: (weights[c], c[1], c[0]),
+            (cell for cell in fs if hops.get(cell, 0) > 0),
+            key=lambda c: (hops[c], c[1], c[0]),
         )
         chosen = None
         for cell in ranked:
-            path = _cell_path(parents, ep.cur.cell, cell)
+            steps = path(parents, cell)
             s = ep.cur.dfa_state
-            for _, nxt_cell in path:
+            for _, nxt_cell in steps:
                 s = dfa.step(s, grid.letter_at(nxt_cell))
                 if s == dfa.trash:
                     break
             if s == dfa.trash:
                 continue  # following this path would violate the task
-            chosen = path
+            chosen = steps
             break
         if chosen is None:
             return ep.result(

@@ -1,15 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 unsatisfiable verdict, 2 usage or input errors.
-Set TLFRONTIER_LOG=debug for verbose logging.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 from .baseline import run_baseline
@@ -35,8 +32,6 @@ from .scltl import (
     compile_dfa,
     parse_formula,
 )
-
-log = logging.getLogger("tlfrontier")
 
 
 class CliError(Exception):
@@ -283,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TLFRONTIER_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .scltl.alphabet import encode_letter
 from .scltl.dfa import TotalDfa
+from .search import bfs
 
 
 @dataclass(frozen=True)
@@ -89,17 +90,7 @@ def commit_states(dfa: TotalDfa) -> CommitReport:
     preds = {}
     for (pair, l), nxt in product.transitions.items():
         preds.setdefault(nxt, []).append(pair)
-    dist = {}
-    queue = deque()
-    for pair in sorted(product.targets):
-        dist[pair] = 0
-        queue.append(pair)
-    while queue:
-        pair = queue.popleft()
-        for prev in preds.get(pair, ()):
-            if prev not in dist:
-                dist[prev] = dist[pair] + 1
-                queue.append(prev)
+    dist, _ = bfs(product.targets, lambda pair: ((None, prev) for prev in preds.get(pair, ())))
 
     commits = set()
     witnesses = {}

@@ -96,9 +96,6 @@ class GridMap:
             return None
         return nxt
 
-    def weight(self, cell: Cell, action: str) -> int:
-        return 1
-
     def glyph(self, cell: Cell) -> str:
         name = self.labels.get(cell)
         if name is None:
@@ -120,11 +117,6 @@ class KnownSet:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def revealed_labels(self, grid: GridMap) -> dict:
-        """Letters of the known cells (sensing is perfect, so these are
-        exactly the true labels)."""
-        return {cell: grid.letter_at(cell) for cell in self.cells}
 
 
 def load_map(text: str) -> GridMap:

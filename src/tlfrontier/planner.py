@@ -2,7 +2,7 @@
 
 Each candidate frontier is scored by information gain, a task progress
 metric over the automaton state its best trajectory ends in, and the
-trajectory's total weight. Trajectories ending in the trash state score
+trajectory's length in hops. Trajectories ending in the trash state score
 minus infinity and are never selected; trajectories ending in a commit
 state score negative, so committing progress is taken only when no safer
 frontier remains.
@@ -15,15 +15,9 @@ from typing import Optional
 
 from .commit import CommitReport, commit_states
 from .env import Cell, GridMap, KnownSet, frontiers, info_gain, is_frontier, sense
-from .product import (
-    ProductGraph,
-    ProductState,
-    accepting_reachable,
-    expand,
-    min_weight_paths,
-    reconstruct_path,
-)
+from .product import ProductGraph, ProductState, accepting_reachable, expand, min_weight_paths
 from .scltl.dfa import PrunedDistances, TotalDfa, delta_phi, pruned_distances
+from .search import path
 
 SATISFIED = "satisfied"
 UNSATISFIABLE = "unsatisfiable"
@@ -62,7 +56,7 @@ class PlanningContext:
     distances: PrunedDistances
     grid: GridMap
     cfg: PlannerConfig
-    paths: Optional[tuple] = None  # cached (weights, parents) from the current node
+    paths: Optional[tuple] = None  # cached (hops, parents) from the current node
 
 
 @dataclass(frozen=True)
@@ -119,20 +113,20 @@ def frontier_value(
     """Score one frontier cell.
 
     The maximization ranges over the product nodes above `x` reachable from
-    `cur` through non-trash nodes, each taken at its minimum weight. Ties
-    prefer the smaller weight, then the smaller automaton state id.
+    `cur` through non-trash nodes, each taken at its hop count. Ties
+    prefer fewer hops, then the smaller automaton state id.
     """
     if not is_frontier(ctx.grid, k, x):
         raise ValueError(f"{x} is not a frontier")
     if ctx.paths is None:
         ctx.paths = min_weight_paths(g, cur)
-    weights, parents = ctx.paths
+    hops, parents = ctx.paths
 
     gain = info_gain(ctx.grid, x, ctx.cfg.h, k)
     best = None  # (value, weight, dfa_state, end)
     for s in ctx.dfa.states:
         end = ProductState(x, s)
-        w = weights.get(end)
+        w = hops.get(end)
         if w is None or w == 0:
             continue
         task = omega(ctx.dfa, ctx.commits, ctx.distances, cur.dfa_state, s, ctx.grid.size(), ctx.cfg)
@@ -143,8 +137,7 @@ def frontier_value(
     if best is None:
         return ScoredFrontier(cell=x, value=NEG_INF, best_end=None, best_path=(), weight=None)
     _, value, w, end = best
-    path = tuple(reconstruct_path(parents, cur, end))
-    return ScoredFrontier(cell=x, value=value, best_end=end, best_path=path, weight=w)
+    return ScoredFrontier(cell=x, value=value, best_end=end, best_path=tuple(path(parents, end)), weight=w)
 
 
 class _Episode:
@@ -218,22 +211,22 @@ class _Episode:
         )
 
     def execute_satisfying_path(self) -> EpisodeResult:
-        """Minimum-weight path to an accepting node, run to completion.
+        """Shortest path to an accepting node, run to completion.
 
         Every label along it is already known, so it cannot be invalidated.
         """
         self.phase = "satisfy"
         self.last_target = None
-        weights, parents = min_weight_paths(self.graph, self.cur)
+        hops, parents = min_weight_paths(self.graph, self.cur)
         goal = None
-        for node, w in weights.items():
+        for node, w in hops.items():
             if not self.graph.is_accepting(node):
                 continue
             key = (w, (node.cell[1], node.cell[0]), node.dfa_state)
             if goal is None or key < goal[0]:
                 goal = (key, node)
         assert goal is not None, "satisfying phase entered without a reachable accepting node"
-        for action, node in reconstruct_path(parents, self.cur, goal[1]):
+        for action, node in path(parents, goal[1]):
             self.execute(action, node)
         final = self.dfa.run(self.word)
         assert final in self.dfa.accepting, "executed word does not end accepting"
@@ -259,7 +252,7 @@ def run_episode(
     ep = _Episode(grid, dfa, cfg)
     ctx = PlanningContext(dfa=dfa, commits=commits, distances=distances, grid=grid, cfg=cfg)
 
-    while not accepting_reachable(ep.graph, ep.cur):
+    while not accepting_reachable(ep.graph):
         fs = frontiers(grid, ep.known)
         if not fs:
             return ep.result(UNSATISFIABLE, reason="no frontiers remain")
@@ -289,7 +282,7 @@ def run_episode(
             return ep.result(UNSATISFIABLE, reason="every remaining frontier is blocked")
         for action, node in target.best_path:
             ep.execute(action, node)
-            if accepting_reachable(ep.graph, ep.cur):
+            if accepting_reachable(ep.graph):
                 break
             if not is_frontier(grid, ep.known, target.cell):
                 break

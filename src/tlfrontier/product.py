@@ -9,12 +9,12 @@ as endpoints but never traversed.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import NamedTuple
 
 from .env import ACTIONS, STAY, Cell, GridMap, KnownSet
 from .scltl.dfa import TotalDfa
+from .search import bfs
 
 
 class ProductState(NamedTuple):
@@ -81,66 +81,27 @@ def expand(g: ProductGraph, grid: GridMap, k: KnownSet, dfa: TotalDfa) -> Produc
     return g
 
 
-def accepting_reachable(g: ProductGraph, src: ProductState) -> bool:
-    """True iff an accepting node can be reached from `src` through
-    non-trash nodes."""
-    if src not in g.nodes:
-        raise ValueError(f"unknown source node {src}")
-    if g.is_trash(src):
-        return False
-    if g.is_accepting(src):
-        return True
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for _, nxt in g.edges[node]:
-            if nxt in seen or g.is_trash(nxt):
-                continue
-            if g.is_accepting(nxt):
-                return True
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
+def accepting_reachable(g: ProductGraph) -> bool:
+    """True iff an accepting node can be reached from the root through
+    non-trash nodes: `expand` materializes exactly that closure."""
+    return not g.dfa.accepting.isdisjoint(node.dfa_state for node in g.nodes)
 
 
 def min_weight_paths(g: ProductGraph, src: ProductState):
-    """Single-source minimum total weight over non-trash nodes.
+    """Single-source hop counts over non-trash nodes.
 
-    Stay edges are skipped (they cannot improve a positive-weight
-    objective). Returns (weights, parents); unreachable nodes are absent,
-    and parents map a node to its (predecessor, action).
+    Stay edges are skipped (they never shorten a path). Returns (hops,
+    parents) as `search.bfs` does: unreachable nodes are absent, and
+    parents map a node to its (predecessor, action).
     """
     if src not in g.nodes:
         raise ValueError(f"unknown source node {src}")
-    weights = {}
-    parents = {}
     if g.is_trash(src):
-        return weights, parents
-    weights[src] = 0
-    heap = [(0, src)]
-    while heap:
-        w, node = heapq.heappop(heap)
-        if w > weights.get(node, w):
-            continue
-        for action, nxt in g.edges[node]:
-            if action == STAY or g.is_trash(nxt):
-                continue
-            nw = w + g.grid.weight(node.cell, action)
-            if nw < weights.get(nxt, nw + 1):
-                weights[nxt] = nw
-                parents[nxt] = (node, action)
-                heapq.heappush(heap, (nw, nxt))
-    return weights, parents
+        return {}, {}
+    edges = g.edges
+    trash = g.dfa.trash
 
+    def successors(node):
+        return [(a, nxt) for a, nxt in edges[node] if a != STAY and nxt.dfa_state != trash]
 
-def reconstruct_path(parents: dict, src: ProductState, dst: ProductState) -> list:
-    """Path from src to dst as (action, node) steps, excluding src itself."""
-    steps = []
-    node = dst
-    while node != src:
-        prev, action = parents[node]
-        steps.append((action, node))
-        node = prev
-    steps.reverse()
-    return steps
+    return bfs([src], successors)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..search import bfs
 from .alphabet import ObservationSet
 from .dfa import TotalDfa
 from .formula import TOP, Formula, atoms, canonical, progress
@@ -114,14 +115,7 @@ def _quotient(n, letters, delta, accepting, partition, alphabet) -> TotalDfa:
     preds = {b: set() for b in range(n_blocks)}
     for (b, l), t in qdelta.items():
         preds[t].add(b)
-    live = set(qacc)
-    queue = deque(sorted(qacc))
-    while queue:
-        t = queue.popleft()
-        for s in preds[t]:
-            if s not in live:
-                live.add(s)
-                queue.append(s)
+    live, _ = bfs(qacc, lambda t: ((None, s) for s in preds[t]))
 
     if not qacc or qinit not in live:
         # empty language: a single absorbing trash state is the whole automaton

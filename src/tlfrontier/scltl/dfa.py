@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..search import bfs
 from .alphabet import Letter, ObservationSet, encode_letter
 
 
@@ -134,18 +134,8 @@ def pruned_distances(dfa: TotalDfa) -> PrunedDistances:
     for (s, l), t in dfa.transitions.items():
         if len(l) <= 1:
             preds[t].add(s)
-    dist = {s: INFINITE for s in dfa.states}
-    queue = deque()
-    for s in sorted(dfa.accepting):
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        t = queue.popleft()
-        for s in preds[t]:
-            if dist[s] is INFINITE:
-                dist[s] = dist[t] + 1
-                queue.append(s)
-    return PrunedDistances(dist)
+    dist, _ = bfs(dfa.accepting, lambda t: ((None, s) for s in preds[t]))
+    return PrunedDistances({s: dist.get(s, INFINITE) for s in dfa.states})
 
 
 def delta_phi(d: PrunedDistances, s_from: int, s_to: int, cap: Optional[int] = None) -> int:

@@ -2,7 +2,8 @@
 
 Grammar (precedence low to high): `|`, `&`, `U` (right-associative), then
 the unary layer `!` (observations only), `F`, `true`, names, parentheses.
-Observation names match [a-z][a-z0-9_]*.
+Observation names match [a-z][a-z0-9_]*. Nesting of parentheses, `F`
+and `U` is bounded by `MAX_DEPTH`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from .formula import TOP, Eventually, Formula, NegObs, Obs, Until, conj, disj
 _TOKEN = re.compile(r"\s*(?:(?P<name>[a-z][a-z0-9_]*)|(?P<op>[!&|UFXG()])|(?P<bad>\S))")
 
 _REJECTED = {"X": "next", "G": "globally"}
+
+# Deepest nesting of parentheses, `F` and right-nested `U` a formula may
+# have. The parser and every formula function recurse once per level, so
+# deeper text is a ParseError rather than a RecursionError.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -54,6 +60,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.alphabet = alphabet
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -69,6 +76,15 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "end"
                              else f"expected {kind!r}, found end of input", tok[2])
         return tok
+
+    def nested(self, parse, pos: int) -> Formula:
+        """Run `parse` one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
+        out = parse()
+        self.depth -= 1
+        return out
 
     def atom_name(self) -> str:
         kind, value, pos = self.take()
@@ -98,8 +114,8 @@ class _Parser:
     def parse_until(self) -> Formula:
         lhs = self.parse_unary()
         if self.peek()[0] == "U":
-            self.take()
-            return Until(lhs, self.parse_until())
+            pos = self.take()[2]
+            return Until(lhs, self.nested(self.parse_until, pos))
         return lhs
 
     def parse_unary(self) -> Formula:
@@ -109,10 +125,10 @@ class _Parser:
             return NegObs(self.atom_name())
         if kind == "F":
             self.take()
-            return Eventually(self.parse_unary())
+            return Eventually(self.nested(self.parse_unary, pos))
         if kind == "(":
             self.take()
-            sub = self.parse_or()
+            sub = self.nested(self.parse_or, pos)
             self.expect(")")
             return sub
         if kind == "name":

@@ -130,6 +130,16 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--map", str(bad), "--formula", "F a")
         assert code == 2
 
+    def test_deeply_nested_formula_is_exit_2(self, capsys):
+        formula = "(" * 1200 + "F p" + ")" * 1200
+        code, out, err = run_cli(
+            capsys, "run", "--map", str(MAPS_DIR / "rescue.map"), "--formula", formula
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: formula nests deeper")
+        assert "Traceback" not in err
+
 
 class TestBench:
     def test_table_and_results_file(self, tmp_path, capsys):

@@ -119,10 +119,6 @@ class TestTransitions:
             for action in ACTIONS:
                 assert grid.move(cell, action) == grid.move(cell, action)
 
-    def test_unit_weights(self):
-        grid = load_map(LABELED)
-        assert all(grid.weight(cell, a) == 1 for cell in grid.cells() for a in ACTIONS)
-
 
 def big_empty(n=20):
     rows = "\n".join("." * n for _ in range(n))
@@ -151,13 +147,6 @@ class TestSensing:
         k1 = sense(grid, (5, 5), 3, KnownSet())
         k2 = sense(grid, (12, 12), 3, k1)
         assert k1.cells <= k2.cells
-
-    def test_revealed_labels_are_true_labels(self):
-        grid = load_map(LABELED)
-        k = sense(grid, (1, 1), 1, KnownSet())
-        labels = k.revealed_labels(grid)
-        assert labels[(2, 1)] == frozenset({"p"})
-        assert labels[(0, 1)] == frozenset()
 
     @given(st.integers(0, 19), st.integers(0, 19), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)

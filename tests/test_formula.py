@@ -18,12 +18,14 @@ from tlfrontier.scltl import (
     Until,
     atoms,
     canonical,
+    compile_dfa,
     conj,
     disj,
     is_good_prefix,
     parse_formula,
     progress,
 )
+from tlfrontier.scltl.parser import MAX_DEPTH
 
 from helpers import random_formula
 
@@ -132,6 +134,30 @@ class TestParser:
     def test_unbalanced_parens(self, abc):
         with pytest.raises(ParseError):
             parse_formula("(a | b", abc)
+
+    def test_thousand_nested_parens_rejected(self, abc):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_formula("(" * 1000 + "F a" + ")" * 1000, abc)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: "(" * (n - 1) + "F a" + ")" * (n - 1),
+            lambda n: "F " * n + "a",
+            lambda n: "a U " * n + "b",
+            lambda n: "(a U " * (n // 2) + "F " * (n % 2) + "b" + ")" * (n // 2),
+        ],
+        ids=["parens", "eventually", "until", "until-parens"],
+    )
+    def test_depth_bound_is_exact(self, abc, make):
+        parse_formula(make(MAX_DEPTH), abc)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_formula(make(MAX_DEPTH + 1), abc)
+
+    def test_formula_at_the_depth_bound_compiles(self, abc):
+        text = "(" * (MAX_DEPTH - 1) + "F a" + ")" * (MAX_DEPTH - 1)
+        dfa = compile_dfa(parse_formula(text, abc), abc)
+        assert dfa.accepts([frozenset({"a"})])
 
     def test_roundtrip_through_str(self, abc):
         rng = random.Random(7)

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from tlfrontier.env import KnownSet, load_map, random_map, sense
 from tlfrontier.product import (
     ProductGraph,
@@ -11,9 +9,9 @@ from tlfrontier.product import (
     accepting_reachable,
     expand,
     min_weight_paths,
-    reconstruct_path,
 )
 from tlfrontier.scltl import ObservationSet, compile_dfa, parse_formula
+from tlfrontier.search import path
 
 L = frozenset
 
@@ -89,15 +87,15 @@ class TestAcceptingReachable:
         g = rooted(grid, dfa, k)
         acc = ProductState((1, 0), dfa.step(dfa.initial, L({"p"})))
         assert g.is_accepting(acc)
-        assert accepting_reachable(g, acc)
-        assert accepting_reachable(g, g.root)
+        assert acc in g.nodes
+        assert accepting_reachable(g)
 
     def test_unlabeled_region_cannot_accept(self):
         grid = corridor()
         dfa = fp_dfa()
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        assert not accepting_reachable(g, g.root)
+        assert not accepting_reachable(g)
 
     def test_false_when_every_exit_enters_trash(self):
         # the only move from the start lands on s, which violates (!s U p)
@@ -109,28 +107,39 @@ class TestAcceptingReachable:
         assert all(
             g.is_trash(nxt) for a, nxt in g.edges[g.root] if a != "stay"
         )
-        assert not accepting_reachable(g, g.root)
-
-    def test_unknown_source_rejected(self):
-        grid = corridor()
-        dfa = fp_dfa()
-        k = sense(grid, (0, 0), 2, KnownSet())
-        g = rooted(grid, dfa, k)
-        with pytest.raises(ValueError):
-            accepting_reachable(g, ProductState((5, 0), dfa.initial))
+        assert not accepting_reachable(g)
 
     def test_monotone_under_expansion(self):
         grid = load_map("map 6 1\nstart 0 0\nlegend P=p\n....P.\n")
         dfa = fp_dfa(("p",))
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        assert not accepting_reachable(g, g.root)
+        assert not accepting_reachable(g)
         k = sense(grid, (2, 0), 2, k)
         expand(g, grid, k, dfa)
-        assert accepting_reachable(g, g.root)
+        assert accepting_reachable(g)
         k = sense(grid, (4, 0), 2, k)
         expand(g, grid, k, dfa)
-        assert accepting_reachable(g, g.root)
+        assert accepting_reachable(g)
+
+    def test_agrees_with_search_from_root(self):
+        # acceptance is reachable exactly when some accepting node is
+        # settled by the search from the root, over partly known maps
+        al = ObservationSet(["l", "p", "s"])
+        dfa = compile_dfa(parse_formula("(!l U (l U (p U ((l | p) U s)))) & F s & (!s U p)", al), al)
+        rng = random.Random(3)
+        outcomes = set()
+        for seed in range(40):
+            grid = random_map(12, rng.choice([0, 1, 3]), seed=seed)
+            k = sense(grid, grid.start, 3, KnownSet())
+            for _ in range(rng.randrange(4)):
+                k = sense(grid, (rng.randrange(12), rng.randrange(12)), 4, k)
+            g = rooted(grid, dfa, k)
+            hops, _ = min_weight_paths(g, g.root)
+            expected = any(g.is_accepting(n) for n in hops)
+            assert accepting_reachable(g) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestMinWeightPaths:
@@ -150,8 +159,7 @@ class TestMinWeightPaths:
         weights, parents = min_weight_paths(g, g.root)
         far = ProductState((5, 0), dfa.initial)
         assert weights[far] == 5
-        path = reconstruct_path(parents, g.root, far)
-        assert [a for a, _ in path] == ["right"] * 5
+        assert [a for a, _ in path(parents, far)] == ["right"] * 5
 
     def test_crossing_label_advances_dfa_state(self):
         grid = load_map("map 5 1\nstart 0 0\nlegend P=p\n..P..\n")
@@ -163,9 +171,8 @@ class TestMinWeightPaths:
         assert len(end_states) == 1
         end = end_states[0]
         assert end.dfa_state in dfa.accepting
-        path = reconstruct_path(parents, g.root, end)
         replay = dfa.step(dfa.initial, grid.letter_at((0, 0)))
-        for _, node in path:
+        for _, node in path(parents, end):
             replay = dfa.step(replay, grid.letter_at(node.cell))
             assert replay == node.dfa_state
 
@@ -206,6 +213,6 @@ class TestWordConsistency:
             targets = rng.sample(sorted(weights), min(20, len(weights)))
             for node in targets:
                 replay = root.dfa_state
-                for _, step_node in reconstruct_path(parents, root, node):
+                for _, step_node in path(parents, node):
                     replay = dfa.step(replay, grid.letter_at(step_node.cell))
                 assert replay == node.dfa_state
