@@ -48,15 +48,13 @@ class PlannerConfig:
 
 @dataclass
 class PlanningContext:
-    """Everything frontier scoring needs, bundled so the per-iteration
-    shortest-path tree can be shared across all frontiers."""
+    """Everything frontier scoring needs besides the product graph."""
 
     dfa: TotalDfa
     commits: CommitReport
     distances: PrunedDistances
     grid: GridMap
     cfg: PlannerConfig
-    paths: Optional[tuple] = None  # cached (hops, parents) from the current node
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,7 @@ def frontier_value(
     """
     if not is_frontier(ctx.grid, k, x):
         raise ValueError(f"{x} is not a frontier")
-    if ctx.paths is None:
-        ctx.paths = min_weight_paths(g, cur)
-    hops, parents = ctx.paths
+    hops, parents = min_weight_paths(g, cur)
 
     gain = info_gain(ctx.grid, x, ctx.cfg.h, k)
     best = None  # (value, weight, dfa_state, end)
@@ -256,7 +252,6 @@ def run_episode(
         fs = frontiers(grid, ep.known)
         if not fs:
             return ep.result(UNSATISFIABLE, reason="no frontiers remain")
-        ctx.paths = None
         best = None  # (sort key, ScoredFrontier)
         for cell in sorted(fs, key=lambda c: (c[1], c[0])):
             scored = frontier_value(ep.graph, ep.cur, cell, ep.known, ctx)

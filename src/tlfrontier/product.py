@@ -1,18 +1,18 @@
 """The joint state space of robot cell and task progress.
 
-Nodes pair a known cell with an automaton state; an edge exists for every
-grid move whose destination is known, with the automaton advanced by the
-destination cell's label. Only nodes reachable from the graph's root (the
-robot's current product state) are materialized, and trash nodes are kept
-as endpoints but never traversed.
+Nodes pair a known cell with an automaton state. `successors` defines the
+edges: every action, Stay included, into a known cell, with the automaton
+advanced by that cell's label, unless the step enters trash. `expand` runs
+the one search from the graph's root (the robot's current product state)
+over these edges, and every query reads its result: the hop count and
+parent of each non-trash node reachable from the root.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
-from .env import ACTIONS, STAY, Cell, GridMap, KnownSet
+from .env import ACTIONS, Cell, GridMap, KnownSet
 from .scltl.dfa import TotalDfa
 from .search import bfs
 
@@ -23,15 +23,29 @@ class ProductState(NamedTuple):
 
 
 class ProductGraph:
-    """Incrementally rebuilt product of the known grid and the automaton."""
+    """Product of the known grid and the automaton, searched from its root."""
 
     def __init__(self, grid: GridMap, dfa: TotalDfa, root: ProductState):
         self.grid = grid
         self.dfa = dfa
         self.root = root
-        self.nodes = set()
-        self.edges = {}  # node -> list of (action, successor), Stay included
-        self._built_for = None
+        self.known = KnownSet()
+        self.nodes = {}  # node -> hops from the root
+        self.parents = {}  # node -> (predecessor, action), the root excluded
+
+    def successors(self, node: ProductState) -> list:
+        """The `(action, next)` edges out of `node` over the known cells,
+        Stay included; steps into trash are left out."""
+        grid, dfa, known = self.grid, self.dfa, self.known
+        out = []
+        for action in ACTIONS:
+            nxt_cell = grid.move(node.cell, action)
+            if nxt_cell is None or nxt_cell not in known:
+                continue
+            s = dfa.step(node.dfa_state, grid.letter_at(nxt_cell))
+            if s != dfa.trash:
+                out.append((action, ProductState(nxt_cell, s)))
+        return out
 
     def is_trash(self, node: ProductState) -> bool:
         return node.dfa_state == self.dfa.trash
@@ -43,65 +57,36 @@ class ProductGraph:
         return len(self.nodes)
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.edges.values())
+        return sum(len(self.successors(node)) for node in self.nodes)
 
 
 def expand(g: ProductGraph, grid: GridMap, k: KnownSet, dfa: TotalDfa) -> ProductGraph:
-    """Rebuild the reachable closure from the current root over the known
-    cells. A repeated call with the same root and known set is a no-op;
-    under a fixed root the closure only grows as sensing proceeds."""
-    key = (g.root, k.cells)
-    if g._built_for == key:
-        return g
-    nodes = set()
-    edges = {}
+    """Search the product over the known set `k` from the current root.
+
+    The root is the only trash node ever reached: trash is absorbing, so
+    a trash root has no successors.
+    """
+    g.known = k
     if g.root.cell in k:
-        nodes.add(g.root)
-        queue = deque([g.root])
-        while queue:
-            node = queue.popleft()
-            if g.is_trash(node):
-                # keep the endpoint but never search past a violation
-                edges.setdefault(node, [])
-                continue
-            out = []
-            for action in ACTIONS:
-                nxt_cell = grid.move(node.cell, action)
-                if nxt_cell is None or nxt_cell not in k:
-                    continue
-                nxt = ProductState(nxt_cell, dfa.step(node.dfa_state, grid.letter_at(nxt_cell)))
-                out.append((action, nxt))
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    queue.append(nxt)
-            edges[node] = out
-    g.nodes = nodes
-    g.edges = edges
-    g._built_for = key
+        g.nodes, g.parents = bfs([g.root], g.successors)
+    else:
+        g.nodes, g.parents = {}, {}
     return g
 
 
 def accepting_reachable(g: ProductGraph) -> bool:
     """True iff an accepting node can be reached from the root through
-    non-trash nodes: `expand` materializes exactly that closure."""
+    non-trash nodes."""
     return not g.dfa.accepting.isdisjoint(node.dfa_state for node in g.nodes)
 
 
 def min_weight_paths(g: ProductGraph, src: ProductState):
-    """Single-source hop counts over non-trash nodes.
+    """Hop counts and parents from the root, as `expand` found them.
 
-    Stay edges are skipped (they never shorten a path). Returns (hops,
-    parents) as `search.bfs` does: unreachable nodes are absent, and
-    parents map a node to its (predecessor, action).
+    Returns `(hops, parents)` as `search.bfs` does: unreachable nodes are
+    absent, and parents map a node to its `(predecessor, action)`. Only
+    the root is a valid `src`.
     """
-    if src not in g.nodes:
-        raise ValueError(f"unknown source node {src}")
-    if g.is_trash(src):
-        return {}, {}
-    edges = g.edges
-    trash = g.dfa.trash
-
-    def successors(node):
-        return [(a, nxt) for a, nxt in edges[node] if a != STAY and nxt.dfa_state != trash]
-
-    return bfs([src], successors)
+    if src != g.root:
+        raise ValueError(f"paths are searched from the root {g.root}, not {src}")
+    return g.nodes, g.parents

@@ -169,7 +169,8 @@ def disj(*parts: Formula) -> Formula:
 
 
 def canonical(phi: Formula) -> Formula:
-    """Rebuild a formula bottom-up through the canonical constructors."""
+    """Rebuild a formula bottom-up through the canonical constructors;
+    `F F x` collapses to `F x`."""
     match phi:
         case Top() | Bottom() | Obs(_) | NegObs(_):
             return phi
@@ -180,7 +181,8 @@ def canonical(phi: Formula) -> Formula:
         case Until(l, r):
             return Until(canonical(l), canonical(r))
         case Eventually(sub):
-            return Eventually(canonical(sub))
+            sub = canonical(sub)
+            return sub if isinstance(sub, Eventually) else Eventually(sub)
     raise FormulaError(f"unknown node: {phi!r}")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -18,6 +19,15 @@ from tlfrontier.scltl import (
 )
 
 MAPS_DIR = Path(__file__).resolve().parent.parent / "maps"
+FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
+# A 3x1 corridor `.A.` and an automaton that accepts once two consecutive
+# letters carry `a`: the robot must stay on the a cell to finish.
+STAY_MAP = FIXTURES_DIR / "stay_corridor.map"
+TWO_A_DFA = FIXTURES_DIR / "two_consecutive_a.json"
+
+
+def two_consecutive_a() -> TotalDfa:
+    return TotalDfa.from_json_dict(json.loads(TWO_A_DFA.read_text()))
 
 
 def random_formula(rng: random.Random, names, depth: int):

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, aggregation, verification."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,10 @@ from tlfrontier.bench import (
     write_results,
 )
 from tlfrontier.planner import PlannerConfig
+
+# sha256 of the results file of the suite in `test_matches_recorded_digest`.
+# A change to it is a change of results, which must be explained.
+RECORDED_DIGEST = "a0008c8a89ed44a346681128d452ea01d91dab4e25f68ddda759b4f13a1b36b7"
 
 
 def small_config(**overrides):
@@ -105,6 +110,16 @@ class TestResultsFile:
             write_results(path, records, summary)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_matches_recorded_digest(self, tmp_path):
+        # the paper's setting at 20x20, as `tlfrontier bench --size 20
+        # --n-blocks 0,5,20 --n-maps 5 --out ...` writes it
+        records = []
+        for n_blocks in (0, 5, 20):
+            records.extend(run_bench(BenchConfig(size=20, n_blocks=n_blocks, n_maps=5))[0])
+        out = tmp_path / "results.jsonl"
+        write_results(out, records, summarize(records)[1])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGEST
 
     def test_timings_flag_adds_wall_clock(self, tmp_path):
         records, summary = run_bench(small_config(n_maps=1))

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from tlfrontier.cli import main
 
-from helpers import MAPS_DIR
+from helpers import MAPS_DIR, STAY_MAP, TWO_A_DFA
 
 PHI0 = "(!b U a) | ((!a U b) & F c)"
 RESCUE = "(!l U (l U (p U ((l | p) U s)))) & F s & (!s U p)"
@@ -119,6 +121,25 @@ class TestRun:
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines()[:-1]]
         assert all({"t", "nodes", "edges"} <= set(e) for e in lines)
+
+    @pytest.mark.parametrize("method", ["ours", "baseline"])
+    def test_automaton_that_needs_stay(self, capsys, method):
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--map",
+            str(STAY_MAP),
+            "--dfa",
+            str(TWO_A_DFA),
+            "--method",
+            method,
+            "--trace",
+        )
+        assert (code, err) == (0, "")
+        *trace, summary = [json.loads(l) for l in out.splitlines()]
+        assert summary["verdict"] == "satisfied"
+        cells = [e["cell"] for e in trace]
+        assert cells == [[0, 0], [1, 0], [1, 0]]  # right, then stay
 
     def test_missing_map_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--map", "/nope.map", "--formula", RESCUE)

@@ -65,6 +65,13 @@ class TestCompileBasics:
         with pytest.raises(StateLimitError):
             compile_dfa(parse_formula("(F a) & (F b) & (F c)", abc), abc, max_states=2)
 
+    def test_eventually_chain_compiles_like_one_eventually(self):
+        # every F F ... F p is F p; the chain is collapsed before compiling
+        al = ObservationSet(["p"])
+        expected = compile_dfa(parse_formula("F p", al), al).to_json_dict()
+        dfa = compile_dfa(parse_formula("F " * 100 + "p", al), al)
+        assert dfa.to_json_dict() == expected
+
     def test_alphabet_must_cover_atoms(self):
         phi = parse_formula("F b", ObservationSet(["a", "b"]))
         with pytest.raises(ValueError, match="outside the alphabet"):

@@ -58,6 +58,11 @@ class TestCanonicalConstructors:
         raw = Or(And(TOP, A), And(TOP, A))
         assert canonical(raw) == A
 
+    def test_nested_eventually_collapses(self):
+        assert canonical(Eventually(Eventually(Eventually(A)))) == Eventually(A)
+        inner = disj(Eventually(A), B)
+        assert canonical(Eventually(inner)) == Eventually(inner)
+
 
 class TestObservationSet:
     def test_names_are_sorted_and_unique(self):

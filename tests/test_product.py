@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from tlfrontier.env import KnownSet, load_map, random_map, sense
 from tlfrontier.product import (
     ProductGraph,
@@ -12,6 +14,8 @@ from tlfrontier.product import (
 )
 from tlfrontier.scltl import ObservationSet, compile_dfa, parse_formula
 from tlfrontier.search import path
+
+from helpers import STAY_MAP, two_consecutive_a
 
 L = frozenset
 
@@ -40,15 +44,16 @@ class TestExpand:
         grid = one_cell_grid()
         dfa = fp_dfa()
         g = rooted(grid, dfa, KnownSet())
-        assert g.nodes == set()
+        assert set(g.nodes) == set()
+        assert g.parents == {}
 
     def test_single_unlabeled_cell(self):
         grid = one_cell_grid()
         dfa = fp_dfa()
         k = sense(grid, (0, 0), 1, KnownSet())
         g = rooted(grid, dfa, k)
-        assert g.nodes == {ProductState((0, 0), dfa.initial)}
-        assert g.edges[g.root] == [("stay", g.root)]
+        assert set(g.nodes) == {ProductState((0, 0), dfa.initial)}
+        assert g.successors(g.root) == [("stay", g.root)]
         assert not any(g.is_accepting(n) for n in g.nodes)
 
     def test_repeated_expand_is_noop(self):
@@ -56,9 +61,10 @@ class TestExpand:
         dfa = fp_dfa()
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        nodes = set(g.nodes)
+        nodes, parents = dict(g.nodes), dict(g.parents)
         expand(g, grid, k, dfa)
         assert g.nodes == nodes
+        assert g.parents == parents
 
     def test_growth_bounded_by_new_cells_times_states(self):
         grid = random_map(20, 3, seed=8)
@@ -104,9 +110,10 @@ class TestAcceptingReachable:
         dfa = compile_dfa(parse_formula("!s U p", al), al)
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        assert all(
-            g.is_trash(nxt) for a, nxt in g.edges[g.root] if a != "stay"
-        )
+        assert grid.move(g.root.cell, "right") == (1, 0)
+        assert dfa.step(g.root.dfa_state, grid.letter_at((1, 0))) == dfa.trash
+        assert [a for a, _ in g.successors(g.root)] == ["stay"]
+        assert set(g.nodes) == {g.root}
         assert not accepting_reachable(g)
 
     def test_monotone_under_expansion(self):
@@ -176,13 +183,49 @@ class TestMinWeightPaths:
             replay = dfa.step(replay, grid.letter_at(node.cell))
             assert replay == node.dfa_state
 
-    def test_stay_edges_not_searched(self):
-        grid = corridor()
-        dfa = fp_dfa()
+    def test_stay_is_never_a_parent_for_compiled_formulas(self):
+        # a compiled formula is stutter-invariant and its automaton minimal,
+        # so Stay is a self-loop and never discovers a node
+        grid = load_map("map 5 1\nstart 0 0\nlegend P=p S=s\n.PSP.\n")
+        al = ObservationSet(["p", "s"])
+        dfa = compile_dfa(parse_formula("(!s U p) & F s", al), al)
         k = sense(grid, (0, 0), 5, KnownSet())
         g = rooted(grid, dfa, k)
+        assert all(("stay", n) in g.successors(n) for n in g.nodes)
         _, parents = min_weight_paths(g, g.root)
         assert all(action != "stay" for _, action in parents.values())
+
+    def test_stay_reaches_nodes_of_a_stuttering_automaton(self):
+        # "a a" needs the robot to stay on the a cell: Stay discovers the
+        # accepting node, and the search that `accepting_reachable` reads
+        # is the one that yields its path
+        grid = load_map(STAY_MAP.read_text())
+        dfa = two_consecutive_a()
+        k = sense(grid, (0, 0), 2, KnownSet())
+        g = rooted(grid, dfa, k)
+        goal = ProductState((1, 0), 2)
+        assert accepting_reachable(g)
+        hops, parents = min_weight_paths(g, g.root)
+        assert hops[goal] == 2
+        assert [a for a, _ in path(parents, goal)] == ["right", "stay"]
+
+    def test_only_the_root_is_a_source(self):
+        grid = corridor()
+        dfa = fp_dfa()
+        k = sense(grid, (0, 0), 3, KnownSet())
+        g = rooted(grid, dfa, k)
+        with pytest.raises(ValueError):
+            min_weight_paths(g, ProductState((1, 0), dfa.initial))
+
+    def test_trash_root_reaches_nothing(self):
+        grid = load_map("map 3 1\nstart 0 0\nlegend P=p S=s\nSP.\n")
+        al = ObservationSet(["p", "s"])
+        dfa = compile_dfa(parse_formula("!s U p", al), al)
+        k = sense(grid, (0, 0), 3, KnownSet())
+        g = rooted(grid, dfa, k)
+        assert g.is_trash(g.root)
+        assert g.successors(g.root) == []
+        assert min_weight_paths(g, g.root) == ({g.root: 0}, {})
 
     def test_paths_avoid_trash(self):
         # stepping on s before p violates the task
