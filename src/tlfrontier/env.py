@@ -16,9 +16,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .scltl.alphabet import Letter, ObservationSet
+from .scltl.alphabet import EMPTY_LETTER, Letter, ObservationSet
 
 Cell = tuple
 
@@ -68,9 +69,14 @@ class GridMap:
     def size(self) -> int:
         return self.width * self.height
 
+    @cached_property
+    def _singletons(self) -> dict:
+        """One shared letter per observation name, built on first use."""
+        return {name: frozenset((name,)) for name in self.alphabet}
+
     def letter_at(self, cell: Cell) -> Letter:
         name = self.labels.get(cell)
-        return frozenset() if name is None else frozenset({name})
+        return EMPTY_LETTER if name is None else self._singletons[name]
 
     def neighbors4(self, cell: Cell) -> list:
         """Undirected adjacency, used by sensing and frontier detection."""

@@ -6,6 +6,14 @@ advanced by that cell's label, unless the step enters trash. `expand` runs
 the one search from the graph's root (the robot's current product state)
 over these edges, and every query reads its result: the hop count and
 parent of each non-trash node reachable from the root.
+
+A node's edges are computed the first time they are asked for and kept for
+the life of the graph. Labels never change, so the edges out of a node on
+cell `c` change only when `c` or one of its 4-neighbours becomes known;
+`expand` drops exactly those entries for each newly known cell, and drops
+them all when the new known set lacks a cell of the old one. Cached edges
+share one object per target node, so the cache holds each node once,
+however many edges lead to it.
 """
 
 from __future__ import annotations
@@ -32,10 +40,16 @@ class ProductGraph:
         self.known = KnownSet()
         self.nodes = {}  # node -> hops from the root
         self.parents = {}  # node -> (predecessor, action), the root excluded
+        self._edges = {}  # node -> successors over `known`, filled lazily
+        self._interned = {}  # node -> the one object every cached edge uses for it
 
     def successors(self, node: ProductState) -> list:
         """The `(action, next)` edges out of `node` over the known cells,
-        Stay included; steps into trash are left out."""
+        Stay included; steps into trash are left out. The list is shared
+        with later calls and must not be changed."""
+        out = self._edges.get(node)
+        if out is not None:
+            return out
         grid, dfa, known = self.grid, self.dfa, self.known
         out = []
         for action in ACTIONS:
@@ -44,7 +58,9 @@ class ProductGraph:
                 continue
             s = dfa.step(node.dfa_state, grid.letter_at(nxt_cell))
             if s != dfa.trash:
-                out.append((action, ProductState(nxt_cell, s)))
+                nxt = ProductState(nxt_cell, s)
+                out.append((action, self._interned.setdefault(nxt, nxt)))
+        self._edges[node] = out
         return out
 
     def is_trash(self, node: ProductState) -> bool:
@@ -64,8 +80,17 @@ def expand(g: ProductGraph, grid: GridMap, k: KnownSet, dfa: TotalDfa) -> Produc
     """Search the product over the known set `k` from the current root.
 
     The root is the only trash node ever reached: trash is absorbing, so
-    a trash root has no successors.
+    a trash root has no successors. Cached edges stay valid except those
+    out of nodes on a newly known cell or on its 4-neighbours.
     """
+    if k.cells >= g.known.cells:
+        edges, states = g._edges, g.dfa.states
+        for cell in k.cells - g.known.cells:
+            for c in (cell, *g.grid.neighbors4(cell)):
+                for s in states:
+                    edges.pop(ProductState(c, s), None)
+    else:
+        g._edges.clear()
     g.known = k
     if g.root.cell in k:
         g.nodes, g.parents = bfs([g.root], g.successors)

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from tlfrontier.cli import main
+from tlfrontier.env import load_map
+from tlfrontier.product import ProductGraph, ProductState, expand
+from tlfrontier.render import replay_known_sets
+from tlfrontier.scltl import compile_dfa, parse_formula
 
 from helpers import MAPS_DIR, STAY_MAP, TWO_A_DFA
 
@@ -121,6 +125,26 @@ class TestRun:
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines()[:-1]]
         assert all({"t", "nodes", "edges"} <= set(e) for e in lines)
+
+    def test_dump_product_reused_graph_matches_fresh_graphs(self, capsys):
+        # the dump reuses one graph and its edge cache across steps; each
+        # line must count what a graph built for that step alone holds
+        map_path = MAPS_DIR / "rescue.map"
+        code, out, _ = run_cli(
+            capsys, "run", "--map", str(map_path), "--formula", RESCUE, "--trace", "--dump-product"
+        )
+        assert code == 0
+        lines = [json.loads(l) for l in out.splitlines()[:-1]]
+        trace = [e for e in lines if "phase" in e]
+        dump = [e for e in lines if "nodes" in e]
+        assert len(dump) == len(trace) > 10
+        grid = load_map(map_path.read_text())
+        dfa = compile_dfa(parse_formula(RESCUE, grid.alphabet), grid.alphabet)
+        known = replay_known_sets(grid, [tuple(e["cell"]) for e in trace], 3)  # default --h
+        for t, (entry, k) in enumerate(zip(trace, known)):
+            root = ProductState(tuple(entry["cell"]), entry["dfa"])
+            fresh = expand(ProductGraph(grid, dfa, root), grid, k, dfa)
+            assert dump[t] == {"t": t, "nodes": fresh.node_count(), "edges": fresh.edge_count()}
 
     @pytest.mark.parametrize("method", ["ours", "baseline"])
     def test_automaton_that_needs_stay(self, capsys, method):

@@ -59,6 +59,14 @@ class TestLoadMap:
         assert grid.letter_at((0, 0)) == frozenset()
         assert grid.letter_at((2, 1)) == frozenset({"p"})
 
+    def test_letter_at_shares_one_letter_per_name(self):
+        grid = load_map(LABELED)
+        assert grid.letter_at((2, 1)) == grid.letter_at((2, 1))
+        assert grid.letter_at((2, 1)) is grid.letter_at((2, 1))
+        assert grid.letter_at((0, 0)) is grid.letter_at((0, 1))
+        assert grid.letter_at((1, 0)) == frozenset({"l"})
+        assert grid.letter_at((1, 0)) is not grid.letter_at((2, 1))
+
     def test_row_length_mismatch(self):
         with pytest.raises(MapFormatError, match="row"):
             load_map("map 3 2\nstart 0 0\nlegend\n...\n..\n")

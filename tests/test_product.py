@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tlfrontier.env import KnownSet, load_map, random_map, sense
+from tlfrontier.env import ACTIONS, KnownSet, load_map, random_map, sense
 from tlfrontier.product import (
     ProductGraph,
     ProductState,
@@ -37,6 +37,32 @@ def rooted(grid, dfa, known):
     root = ProductState(grid.start, dfa.step(dfa.initial, grid.letter_at(grid.start)))
     g = ProductGraph(grid, dfa, root)
     return expand(g, grid, known, dfa)
+
+
+def rescue_dfa():
+    al = ObservationSet(["l", "p", "s"])
+    return compile_dfa(parse_formula("(!l U (l U (p U ((l | p) U s)))) & F s & (!s U p)", al), al)
+
+
+def accepting_by_fixpoint(grid, dfa, known, root) -> bool:
+    """Whether an accepting state is reachable from `root` over the known
+    cells without entering trash, grown to a fixpoint straight from the
+    map and the transition table."""
+    reached = {(root.cell, root.dfa_state)}
+    grew = True
+    while grew:
+        grew = False
+        for cell, s in list(reached):
+            for action in ACTIONS:
+                nxt = grid.move(cell, action)
+                if nxt is None or nxt not in known:
+                    continue
+                name = grid.labels.get(nxt)
+                t = dfa.transitions[(s, frozenset() if name is None else frozenset({name}))]
+                if t != dfa.trash and (nxt, t) not in reached:
+                    reached.add((nxt, t))
+                    grew = True
+    return any(s in dfa.accepting for _, s in reached)
 
 
 class TestExpand:
@@ -130,10 +156,10 @@ class TestAcceptingReachable:
         assert accepting_reachable(g)
 
     def test_agrees_with_search_from_root(self):
-        # acceptance is reachable exactly when some accepting node is
-        # settled by the search from the root, over partly known maps
-        al = ObservationSet(["l", "p", "s"])
-        dfa = compile_dfa(parse_formula("(!l U (l U (p U ((l | p) U s)))) & F s & (!s U p)", al), al)
+        # acceptance is reachable exactly when a fixpoint over the map and
+        # the transition table reaches an accepting state, over partly
+        # known maps
+        dfa = rescue_dfa()
         rng = random.Random(3)
         outcomes = set()
         for seed in range(40):
@@ -142,11 +168,69 @@ class TestAcceptingReachable:
             for _ in range(rng.randrange(4)):
                 k = sense(grid, (rng.randrange(12), rng.randrange(12)), 4, k)
             g = rooted(grid, dfa, k)
-            hops, _ = min_weight_paths(g, g.root)
-            expected = any(g.is_accepting(n) for n in hops)
+            expected = accepting_by_fixpoint(grid, dfa, k, g.root)
             assert accepting_reachable(g) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
+
+    def test_fixpoint_oracle_stops_at_trash(self):
+        # p lies beyond s, and stepping on s before p enters trash
+        grid = load_map("map 3 1\nstart 0 0\nlegend P=p S=s\n.SP\n")
+        al = ObservationSet(["p", "s"])
+        dfa = compile_dfa(parse_formula("!s U p", al), al)
+        k = sense(grid, (0, 0), 3, KnownSet())
+        g = rooted(grid, dfa, k)
+        assert not accepting_by_fixpoint(grid, dfa, k, g.root)
+        assert not accepting_reachable(g)
+
+
+class TestEdgeCache:
+    """A graph reused across `expand` calls answers exactly as a graph
+    built afresh on the same known set."""
+
+    @staticmethod
+    def assert_same_as_fresh(g, grid, dfa, k):
+        fresh = ProductGraph(grid, dfa, g.root)
+        expand(fresh, grid, k, dfa)
+        assert g.nodes == fresh.nodes
+        assert g.parents == fresh.parents
+        # every node over the known cells, reachable or not, so stale
+        # entries of nodes the search does not reach show too
+        for cell in sorted(k.cells):
+            for s in dfa.states:
+                node = ProductState(cell, s)
+                assert g.successors(node) == fresh.successors(node), node
+
+    def test_growing_known_set(self):
+        dfa = rescue_dfa()
+        rng = random.Random(5)
+        for seed in range(12):
+            size = rng.randrange(10, 13)
+            grid = random_map(size, rng.randrange(1, 4), seed=seed, block=3)
+            k = sense(grid, grid.start, 1, KnownSet())
+            g = rooted(grid, dfa, k)
+            self.assert_same_as_fresh(g, grid, dfa, k)
+            for _ in range(8):
+                cell = (rng.randrange(size), rng.randrange(size))
+                k = sense(grid, cell, rng.randrange(1, 3), k)
+                if g.nodes and rng.random() < 0.5:
+                    g.root = rng.choice(sorted(g.nodes))
+                expand(g, grid, k, dfa)
+                self.assert_same_as_fresh(g, grid, dfa, k)
+
+    def test_shrinking_known_set(self):
+        dfa = rescue_dfa()
+        grid = random_map(12, 2, seed=4, block=3)
+        small = sense(grid, grid.start, 3, KnownSet())
+        large = sense(grid, grid.start, 6, small)
+        g = rooted(grid, dfa, large)
+        self.assert_same_as_fresh(g, grid, dfa, large)
+        expand(g, grid, small, dfa)
+        self.assert_same_as_fresh(g, grid, dfa, small)
+        # a known set that neither contains nor is contained in the last
+        other = sense(grid, (5, 5), 4, KnownSet())
+        expand(g, grid, other, dfa)
+        self.assert_same_as_fresh(g, grid, dfa, other)
 
 
 class TestMinWeightPaths:
