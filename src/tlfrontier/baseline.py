@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .env import ACTIONS, STAY, Cell, GridMap, KnownSet, frontiers
-from .planner import UNSATISFIABLE, EpisodeResult, PlannerConfig, _Episode
-from .product import ProductState, accepting_reachable
+# `frontiers` and `accepting_reachable` are unused here (`planner.explore`
+# calls them), but perfbench/tracer.py hooks them on this module by name.
+from .env import ACTIONS, STAY, Cell, GridMap, KnownSet, frontiers  # noqa: F401
+from .planner import EpisodeResult, PlannerConfig, explore
+from .product import ProductState, accepting_reachable  # noqa: F401
 from .scltl.dfa import TotalDfa
 from .search import bfs, path
 
@@ -32,48 +34,36 @@ def _grid_shortest_paths(grid: GridMap, k: KnownSet, src: Cell):
     return bfs([src], successors)
 
 
-def run_baseline(
-    grid: GridMap,
-    dfa: TotalDfa,
-    cfg: Optional[PlannerConfig] = None,
-) -> EpisodeResult:
-    """Walk to the nearest frontier whose physical path stays violation-free;
-    finish over the product as soon as acceptance is reachable."""
-    cfg = cfg or PlannerConfig()
-    ep = _Episode(grid, dfa, cfg)
+class NearestPolicy:
+    """Take the nearest frontier by grid distance whose path does not drive
+    the automaton into trash, and walk that path to completion."""
 
-    while True:
-        if accepting_reachable(ep.graph):
-            return ep.execute_satisfying_path()
-        fs = frontiers(grid, ep.known)
-        if not fs:
-            return ep.result(UNSATISFIABLE, reason="no frontiers remain")
+    blocked = "every frontier is unreachable or discarded"
 
+    def plan(self, ep, fs: set):
+        grid, dfa = ep.grid, ep.dfa
         hops, parents = _grid_shortest_paths(grid, ep.known, ep.cur.cell)
         ranked = sorted(
             (cell for cell in fs if hops.get(cell, 0) > 0),
             key=lambda c: (hops[c], c[1], c[0]),
         )
-        chosen = None
         for cell in ranked:
             steps = path(parents, cell)
-            s = ep.cur.dfa_state
-            for _, nxt_cell in steps:
-                s = dfa.step(s, grid.letter_at(nxt_cell))
-                if s == dfa.trash:
-                    break
-            if s == dfa.trash:
-                continue  # following this path would violate the task
-            chosen = steps
-            break
-        if chosen is None:
-            return ep.result(
-                UNSATISFIABLE, reason="every frontier is unreachable or discarded"
+            if dfa.run((grid.letter_at(c) for _, c in steps), ep.cur.dfa_state) == dfa.trash:
+                continue  # following this path would violate the task (trash absorbs)
+            ep.iterations.append({"frontier": list(cell), "v_max": None, "known": len(ep.known)})
+            ep.last_target = cell
+            return (
+                (action, ProductState(c, dfa.step(ep.cur.dfa_state, grid.letter_at(c))))
+                for action, c in steps
             )
-        ep.iterations.append(
-            {"frontier": list(chosen[-1][1]), "v_max": None, "known": len(ep.known)}
-        )
-        ep.last_target = chosen[-1][1]
-        for action, cell in chosen:
-            nxt = ProductState(cell, dfa.step(ep.cur.dfa_state, grid.letter_at(cell)))
-            ep.execute(action, nxt)
+        return None
+
+
+def run_baseline(
+    grid: GridMap,
+    dfa: TotalDfa,
+    cfg: Optional[PlannerConfig] = None,
+) -> EpisodeResult:
+    """The physical-space method: `NearestPolicy` in the shared loop."""
+    return explore(grid, dfa, cfg or PlannerConfig(), NearestPolicy())

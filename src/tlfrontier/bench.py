@@ -73,7 +73,7 @@ class RunRecord:
         return out
 
 
-def run_bench(config: BenchConfig, progress=None):
+def run_bench(config: BenchConfig):
     """One record per (map, method), plus the per-method summary."""
     alphabet = ObservationSet(["l", "p", "s"])
     dfa = compile_dfa(parse_formula(config.formula, alphabet), alphabet)
@@ -110,8 +110,6 @@ def run_bench(config: BenchConfig, progress=None):
                     wall_ms=wall_ms,
                 )
             )
-            if progress:
-                progress(records[-1])
     return records, summarize(records)[1]
 
 

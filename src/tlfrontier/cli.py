@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .baseline import run_baseline
 from .bench import (
+    METHOD_BASELINE,
+    METHOD_OURS,
     PHI1,
     BenchConfig,
     run_bench,
@@ -18,7 +21,7 @@ from .bench import (
     write_results,
 )
 from .commit import commit_states
-from .env import MapFormatError, MapGenerationError, load_map
+from .env import RANDOM_MAP_MIN_SIZE, MapFormatError, MapGenerationError, load_map
 from .planner import PlannerConfig, run_episode
 from .product import ProductGraph, ProductState, expand
 from .render import RenderError, render_trajectory, replay_known_sets
@@ -38,6 +41,53 @@ class CliError(Exception):
     """Input problem that should terminate with exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line with exit code 2,
+    like every other input error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _checked(kind, ok, what: str):
+    """An argparse type: `kind(text)`, rejected unless `ok(value)`."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+
+    return parse
+
+
+def _int_list(text: str) -> list:
+    return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "must be a positive finite number")
+_positive_int = _checked(int, lambda v: v > 0, "must be a positive integer")
+_map_size = _checked(
+    int, lambda v: v >= RANDOM_MAP_MIN_SIZE, f"must be an integer of at least {RANDOM_MAP_MIN_SIZE}"
+)
+_block_counts = _checked(
+    _int_list, lambda v: v and min(v) >= 0, "must be a comma list of non-negative integers"
+)
+_frames = _checked(
+    lambda text: text if text in ("last", "all") else _int_list(text),
+    bool,
+    "must be 'last', 'all' or a comma list of steps",
+)
+_methods = _checked(
+    lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
+    lambda v: v and set(v) <= {METHOD_OURS, METHOD_BASELINE},
+    f"must be a comma list of {METHOD_OURS} and {METHOD_BASELINE}",
+)
+
+
 def _planner_config(args) -> PlannerConfig:
     return PlannerConfig(
         alpha1=args.alpha1, alpha2=args.alpha2, alpha3=args.alpha3, h=args.h
@@ -45,10 +95,10 @@ def _planner_config(args) -> PlannerConfig:
 
 
 def _add_planner_flags(parser):
-    parser.add_argument("--alpha1", type=float, default=1.0)
-    parser.add_argument("--alpha2", type=float, default=20.0)
-    parser.add_argument("--alpha3", type=float, default=1.0)
-    parser.add_argument("--h", type=int, default=3, help="sensing radius in hops")
+    parser.add_argument("--alpha1", type=_positive_float, default=1.0)
+    parser.add_argument("--alpha2", type=_positive_float, default=20.0)
+    parser.add_argument("--alpha3", type=_positive_float, default=1.0)
+    parser.add_argument("--h", type=_positive_int, default=3, help="sensing radius in hops")
 
 
 def _read_file(path: str) -> str:
@@ -116,33 +166,34 @@ def _load_map_arg(args):
         raise CliError(f"bad map {args.map}: {exc}") from exc
 
 
-def cmd_run(args) -> int:
+def _run_method(args):
+    """Load the map, the automaton and the planner flags, and run one
+    episode of the chosen method; returns `(grid, dfa, cfg, result)`."""
     grid = _load_map_arg(args)
     dfa = _load_dfa_arg(args, alphabet=grid.alphabet)
     cfg = _planner_config(args)
     try:
-        if args.method == "baseline":
+        if args.method == METHOD_BASELINE:
             result = run_baseline(grid, dfa, cfg)
         else:
             result = run_episode(grid, dfa, cfg=cfg)
-    except ValueError as exc:
+    except AlphabetError as exc:  # a map label the automaton does not declare
         raise CliError(str(exc)) from exc
+    return grid, dfa, cfg, result
 
+
+def cmd_run(args) -> int:
+    grid, dfa, cfg, result = _run_method(args)
     if args.trace:
         for entry in result.diagnostics["trace"]:
             sys.stdout.write(json.dumps(entry) + "\n")
     if args.dump_product:
         known = replay_known_sets(grid, result.trajectory, cfg.h)
-        graph = None
-        s = dfa.step(dfa.initial, grid.letter_at(result.trajectory[0]))
-        for t, cell in enumerate(result.trajectory):
-            if t > 0:
-                s = dfa.step(s, grid.letter_at(cell))
-            root = ProductState(cell, s)
-            if graph is None:
-                graph = ProductGraph(grid, dfa, root)
-            graph.root = root
-            expand(graph, grid, known[t], dfa)
+        states = dfa.run_states(result.word)[1:]  # the state at each trajectory cell
+        graph = ProductGraph(grid, dfa, ProductState(result.trajectory[0], states[0]))
+        for t, (cell, s) in enumerate(zip(result.trajectory, states)):
+            graph.root = ProductState(cell, s)
+            expand(graph, known[t])
             sys.stdout.write(
                 json.dumps({"t": t, "nodes": graph.node_count(), "edges": graph.edge_count()})
                 + "\n"
@@ -162,21 +213,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     all_records = []
-    for n_blocks in _parse_int_list(args.n_blocks):
+    for n_blocks in args.n_blocks:
         config = BenchConfig(
             size=args.size,
             n_blocks=n_blocks,
             n_maps=args.n_maps,
             base_seed=args.seed,
             formula=args.formula or PHI1,
-            methods=methods,
+            methods=args.methods,
             cfg=_planner_config(args),
         )
         try:
             records, _ = run_bench(config)
-        except MapGenerationError as exc:
+        except (MapGenerationError, ParseError, StateLimitError) as exc:
             raise CliError(str(exc)) from exc
         all_records.extend(records)
     table, summary = summarize(all_records)
@@ -186,32 +236,19 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"bad integer list {text!r}") from exc
-
-
-def _parse_steps(text: str, n: int):
-    if text == "last":
+def _frame_steps(frames, n: int):
+    if frames == "last":
         return None
-    if text == "all":
+    if frames == "all":
         return list(range(n))
-    return [i if i >= 0 else n + i for i in _parse_int_list(text)]
+    return [i if i >= 0 else n + i for i in frames]
 
 
 def cmd_render(args) -> int:
-    grid = _load_map_arg(args)
-    dfa = _load_dfa_arg(args, alphabet=grid.alphabet)
-    cfg = _planner_config(args)
-    if args.method == "baseline":
-        result = run_baseline(grid, dfa, cfg)
-    else:
-        result = run_episode(grid, dfa, cfg=cfg)
+    grid, dfa, cfg, result = _run_method(args)
     timeline = replay_known_sets(grid, result.trajectory, cfg.h)
     try:
-        steps = _parse_steps(args.frames, len(result.trajectory))
+        steps = _frame_steps(args.frames, len(result.trajectory))
         text = render_trajectory(grid, timeline, result.trajectory, fmt=args.format, steps=steps)
     except RenderError as exc:
         raise CliError(str(exc)) from exc
@@ -220,7 +257,7 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tlfrontier",
         description="Temporal-logic-aware frontier-based exploration toolkit",
     )
@@ -252,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="Monte Carlo comparison over random maps")
-    p.add_argument("--size", type=int, default=20)
-    p.add_argument("--n-blocks", default="5", help="comma list, e.g. 0,5")
-    p.add_argument("--n-maps", type=int, default=500)
+    p.add_argument("--size", type=_map_size, default=20)
+    p.add_argument("--n-blocks", type=_block_counts, default=[5], help="comma list, e.g. 0,5")
+    p.add_argument("--n-maps", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--formula", help="task formula (default: the rescue task)")
-    p.add_argument("--methods", default="ours,baseline")
+    p.add_argument("--methods", type=_methods, default=(METHOD_OURS, METHOD_BASELINE))
     p.add_argument("--out", help="write JSON-lines results here")
     p.add_argument("--timings", action="store_true", help="include wall-clock times in --out")
     _add_planner_flags(p)
@@ -269,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dfa")
     p.add_argument("--method", choices=["ours", "baseline"], default="ours")
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
-    p.add_argument("--frames", default="last", help="'last', 'all', or a comma list of steps")
+    p.add_argument("--frames", type=_frames, default="last", help="'last', 'all' or a comma list")
     p.add_argument("--out")
     _add_planner_flags(p)
     p.set_defaults(func=cmd_render)

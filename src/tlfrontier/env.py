@@ -266,6 +266,9 @@ def _non_blocked_reach(grid: GridMap, blocked_label: str) -> set:
     return seen
 
 
+RANDOM_MAP_MIN_SIZE = 10
+
+
 def random_map(
     size: int,
     n_blocks: int,
@@ -280,8 +283,8 @@ def random_map(
     lie outside the blocks and are reachable from the start without
     touching an l cell. Deterministic for a fixed seed.
     """
-    if size < 10:
-        raise ValueError("size must be at least 10")
+    if size < RANDOM_MAP_MIN_SIZE:
+        raise ValueError(f"size must be at least {RANDOM_MAP_MIN_SIZE}")
     if n_blocks < 0:
         raise ValueError("n_blocks must be non-negative")
     rng = random.Random(seed)

@@ -1,11 +1,23 @@
 """Frontier-based exploration that plans in the product space.
 
-Each candidate frontier is scored by information gain, a task progress
-metric over the automaton state its best trajectory ends in, and the
-trajectory's length in hops. Trajectories ending in the trash state score
-minus infinity and are never selected; trajectories ending in a commit
-state score negative, so committing progress is taken only when no safer
-frontier remains.
+`explore` is the one episode loop, shared with the baseline: while no
+accepting product node is reachable, a policy picks a frontier and returns
+the steps toward it; once one is, the robot walks the shortest path to
+acceptance. The two policies differ in the frontier they pick and in how
+far they walk toward it:
+
+- `ProductPolicy` scores each frontier by information gain, the task
+  progress of the automaton state its best trajectory ends in, and that
+  trajectory's hops. It stops walking as soon as acceptance becomes
+  reachable or the target stops being a frontier, and replans.
+- `baseline.NearestPolicy` takes the nearest frontier whose grid path does
+  not violate the task, and walks that path to completion.
+
+Trajectories ending in trash score minus infinity and are never selected;
+ending in a commit state scores negative, so committing progress is taken
+only when no safer frontier remains. The score is divided by `w ** alpha3`
+whatever its sign, so among frontiers that can only end in a commit state
+the farther one scores higher (its negative value is nearer zero).
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from typing import Optional
 from .commit import CommitReport, commit_states
 from .env import Cell, GridMap, KnownSet, frontiers, info_gain, is_frontier, sense
 from .product import ProductGraph, ProductState, accepting_reachable, expand, min_weight_paths
+from .scltl.alphabet import AlphabetError
 from .scltl.dfa import PrunedDistances, TotalDfa, delta_phi, pruned_distances
 from .search import path
 
@@ -46,23 +59,11 @@ class PlannerConfig:
             raise ValueError("step cap must be positive")
 
 
-@dataclass
-class PlanningContext:
-    """Everything frontier scoring needs besides the product graph."""
-
-    dfa: TotalDfa
-    commits: CommitReport
-    distances: PrunedDistances
-    grid: GridMap
-    cfg: PlannerConfig
-
-
 @dataclass(frozen=True)
 class ScoredFrontier:
     cell: Cell
     value: float
     best_end: Optional[ProductState]
-    best_path: tuple
     weight: Optional[int]
 
 
@@ -106,7 +107,7 @@ def frontier_value(
     cur: ProductState,
     x: Cell,
     k: KnownSet,
-    ctx: PlanningContext,
+    policy: ProductPolicy,
 ) -> ScoredFrontier:
     """Score one frontier cell.
 
@@ -114,36 +115,33 @@ def frontier_value(
     `cur` through non-trash nodes, each taken at its hop count. Ties
     prefer fewer hops, then the smaller automaton state id.
     """
-    if not is_frontier(ctx.grid, k, x):
+    if not is_frontier(policy.grid, k, x):
         raise ValueError(f"{x} is not a frontier")
-    hops, parents = min_weight_paths(g, cur)
-
-    gain = info_gain(ctx.grid, x, ctx.cfg.h, k)
-    best = None  # (value, weight, dfa_state, end)
-    for s in ctx.dfa.states:
-        end = ProductState(x, s)
-        w = hops.get(end)
-        if w is None or w == 0:
-            continue
-        task = omega(ctx.dfa, ctx.commits, ctx.distances, cur.dfa_state, s, ctx.grid.size(), ctx.cfg)
-        value = (ctx.cfg.alpha1 * gain + ctx.cfg.alpha2 * task) / (w ** ctx.cfg.alpha3)
-        key = (-value, w, s)
-        if best is None or key < best[0]:
-            best = (key, value, w, end)
+    hops, _ = min_weight_paths(g, cur)
+    cfg, size = policy.cfg, policy.grid.size()
+    gain = info_gain(policy.grid, x, cfg.h, k)
+    best = None  # (-value, hops, automaton state)
+    for s in policy.dfa.states:
+        w = hops.get(ProductState(x, s))
+        if w:  # None: unreachable; 0: the robot's own node
+            task = omega(policy.dfa, policy.commits, policy.distances, cur.dfa_state, s, size, cfg)
+            value = (cfg.alpha1 * gain + cfg.alpha2 * task) / (w ** cfg.alpha3)
+            if best is None or (-value, w, s) < best:
+                best = (-value, w, s)
     if best is None:
-        return ScoredFrontier(cell=x, value=NEG_INF, best_end=None, best_path=(), weight=None)
-    _, value, w, end = best
-    return ScoredFrontier(cell=x, value=value, best_end=end, best_path=tuple(path(parents, end)), weight=w)
+        return ScoredFrontier(cell=x, value=NEG_INF, best_end=None, weight=None)
+    return ScoredFrontier(cell=x, value=-best[0], best_end=ProductState(x, best[2]), weight=best[1])
 
 
 class _Episode:
     """Mutable episode state shared by the exploration and execution phases."""
 
     def __init__(self, grid: GridMap, dfa: TotalDfa, cfg: PlannerConfig):
-        labels = set(grid.labels.values())
-        undeclared = labels - set(dfa.alphabet.names)
+        undeclared = set(grid.labels.values()) - set(dfa.alphabet.names)
         if undeclared:
-            raise ValueError(f"map labels {sorted(undeclared)} missing from the automaton alphabet")
+            raise AlphabetError(
+                f"map labels {sorted(undeclared)} missing from the automaton alphabet"
+            )
         self.grid = grid
         self.dfa = dfa
         self.cfg = cfg
@@ -152,7 +150,7 @@ class _Episode:
         self.cur = ProductState(grid.start, dfa.step(dfa.initial, start_letter))
         self.known = sense(grid, grid.start, cfg.h, KnownSet())
         self.graph = ProductGraph(grid, dfa, self.cur)
-        expand(self.graph, grid, self.known, dfa)
+        expand(self.graph, self.known)
         self.trajectory = [grid.start]
         self.actions = []
         self.word = [start_letter]
@@ -190,7 +188,7 @@ class _Episode:
         self.word.append(self.grid.letter_at(node.cell))
         self.known = sense(self.grid, node.cell, self.cfg.h, self.known)
         self.graph.root = self.cur
-        expand(self.graph, self.grid, self.known, self.dfa)
+        expand(self.graph, self.known)
         self._trace_step()
 
     def result(self, verdict: str, reason: Optional[str] = None) -> EpisodeResult:
@@ -198,12 +196,7 @@ class _Episode:
         if reason:
             diagnostics["reason"] = reason
         return EpisodeResult(
-            verdict=verdict,
-            trajectory=self.trajectory,
-            actions=self.actions,
-            word=self.word,
-            steps=self.steps,
-            diagnostics=diagnostics,
+            verdict, self.trajectory, self.actions, self.word, self.steps, diagnostics
         )
 
     def execute_satisfying_path(self) -> EpisodeResult:
@@ -214,55 +207,54 @@ class _Episode:
         self.phase = "satisfy"
         self.last_target = None
         hops, parents = min_weight_paths(self.graph, self.cur)
-        goal = None
-        for node, w in hops.items():
-            if not self.graph.is_accepting(node):
-                continue
-            key = (w, (node.cell[1], node.cell[0]), node.dfa_state)
-            if goal is None or key < goal[0]:
-                goal = (key, node)
+        goal = min(
+            (node for node in hops if self.graph.is_accepting(node)),
+            key=lambda node: (hops[node], (node.cell[1], node.cell[0]), node.dfa_state),
+            default=None,
+        )
         assert goal is not None, "satisfying phase entered without a reachable accepting node"
-        for action, node in path(parents, goal[1]):
+        for action, node in path(parents, goal):
             self.execute(action, node)
         final = self.dfa.run(self.word)
         assert final in self.dfa.accepting, "executed word does not end accepting"
         return self.result(SATISFIED)
 
 
-def run_episode(
-    grid: GridMap,
-    dfa: TotalDfa,
-    commits: Optional[CommitReport] = None,
-    cfg: Optional[PlannerConfig] = None,
-) -> EpisodeResult:
-    """Explore until an accepting product node is reachable, then finish.
-
-    Frontier selection follows the scored maximum; the walk toward the
-    chosen frontier is cut short as soon as acceptance becomes reachable
-    or the target stops being a frontier. Returns unsatisfiable when no
-    frontiers remain or every remaining frontier is blocked by violations.
-    """
-    cfg = cfg or PlannerConfig()
-    commits = commits if commits is not None else commit_states(dfa)
-    distances = pruned_distances(dfa)
+def explore(grid: GridMap, dfa: TotalDfa, cfg: PlannerConfig, policy) -> EpisodeResult:
+    """The episode loop of both methods. `policy.plan(ep, fs)` returns the
+    `(action, node)` steps to execute, or None when it rules out every
+    frontier; `policy.blocked` is then the reason given."""
     ep = _Episode(grid, dfa, cfg)
-    ctx = PlanningContext(dfa=dfa, commits=commits, distances=distances, grid=grid, cfg=cfg)
-
     while not accepting_reachable(ep.graph):
         fs = frontiers(grid, ep.known)
         if not fs:
             return ep.result(UNSATISFIABLE, reason="no frontiers remain")
-        best = None  # (sort key, ScoredFrontier)
-        for cell in sorted(fs, key=lambda c: (c[1], c[0])):
-            scored = frontier_value(ep.graph, ep.cur, cell, ep.known, ctx)
-            key = (
-                -scored.value,
-                scored.weight if scored.weight is not None else 0,
-                (cell[1], cell[0]),
-            )
-            if best is None or key < best[0]:
-                best = (key, scored)
-        target = best[1]
+        steps = policy.plan(ep, fs)
+        if steps is None:
+            return ep.result(UNSATISFIABLE, reason=policy.blocked)
+        for action, node in steps:
+            ep.execute(action, node)
+    return ep.execute_satisfying_path()
+
+
+@dataclass
+class ProductPolicy:
+    """Everything frontier scoring needs besides the product graph. Takes
+    the frontier of maximal value, and walks toward it only while
+    acceptance stays unreachable and the target stays a frontier."""
+
+    dfa: TotalDfa
+    commits: CommitReport
+    distances: PrunedDistances
+    grid: GridMap
+    cfg: PlannerConfig
+    blocked = "every remaining frontier is blocked"
+
+    def plan(self, ep: _Episode, fs: set):
+        target = min(
+            (frontier_value(ep.graph, ep.cur, cell, ep.known, self) for cell in fs),
+            key=lambda f: (-f.value, f.weight or 0, (f.cell[1], f.cell[0])),
+        )
         ep.last_v_max = target.value
         ep.last_target = target.cell
         ep.iterations.append(
@@ -274,12 +266,24 @@ def run_episode(
             }
         )
         if target.value == NEG_INF:
-            return ep.result(UNSATISFIABLE, reason="every remaining frontier is blocked")
-        for action, node in target.best_path:
-            ep.execute(action, node)
-            if accepting_reachable(ep.graph):
-                break
-            if not is_frontier(grid, ep.known, target.cell):
-                break
+            return None
+        _, parents = min_weight_paths(ep.graph, ep.cur)
+        return self._walk(ep, target.cell, path(parents, target.best_end))
 
-    return ep.execute_satisfying_path()
+    def _walk(self, ep: _Episode, target: Cell, steps: list):
+        for step in steps:
+            yield step
+            if accepting_reachable(ep.graph) or not is_frontier(self.grid, ep.known, target):
+                return
+
+
+def run_episode(
+    grid: GridMap,
+    dfa: TotalDfa,
+    commits: Optional[CommitReport] = None,
+    cfg: Optional[PlannerConfig] = None,
+) -> EpisodeResult:
+    """The product-space method: `ProductPolicy` in the shared loop."""
+    cfg = cfg or PlannerConfig()
+    commits = commits if commits is not None else commit_states(dfa)
+    return explore(grid, dfa, cfg, ProductPolicy(dfa, commits, pruned_distances(dfa), grid, cfg))

@@ -76,8 +76,9 @@ class ProductGraph:
         return sum(len(self.successors(node)) for node in self.nodes)
 
 
-def expand(g: ProductGraph, grid: GridMap, k: KnownSet, dfa: TotalDfa) -> ProductGraph:
-    """Search the product over the known set `k` from the current root.
+def expand(g: ProductGraph, k: KnownSet) -> ProductGraph:
+    """Search the product of the graph's grid and automaton over the known
+    set `k` from the current root.
 
     The root is the only trash node ever reached: trash is absorbing, so
     a trash root has no successors. Cached edges stay valid except those

@@ -125,6 +125,8 @@ def render_trajectory(grid: GridMap, timeline, trajectory, fmt: str = "ascii", s
             steps = [len(trajectory) - 1]
         frames = []
         for step in steps:
+            if not 0 <= step < len(trajectory):
+                raise RenderError(f"step {step} outside the episode (0-{len(trajectory) - 1})")
             frame = ascii_frame(grid, timeline[step], trajectory, step)
             frames.append(f"step {frame.step}\n{frame.text()}")
         return "\n\n".join(frames) + "\n"

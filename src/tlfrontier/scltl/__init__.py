@@ -39,41 +39,3 @@ from .formula import (
     progress,
 )
 from .parser import ParseError, parse_formula
-
-__all__ = [
-    "EMPTY_LETTER",
-    "AlphabetError",
-    "Letter",
-    "ObservationSet",
-    "encode_letter",
-    "letter",
-    "letter_key",
-    "StateLimitError",
-    "compile_dfa",
-    "INFINITE",
-    "DfaError",
-    "PrunedDistances",
-    "TotalDfa",
-    "delta_phi",
-    "pruned_distances",
-    "BOTTOM",
-    "TOP",
-    "And",
-    "Bottom",
-    "Eventually",
-    "Formula",
-    "FormulaError",
-    "NegObs",
-    "Obs",
-    "Or",
-    "Top",
-    "Until",
-    "atoms",
-    "canonical",
-    "conj",
-    "disj",
-    "is_good_prefix",
-    "progress",
-    "ParseError",
-    "parse_formula",
-]

@@ -70,9 +70,3 @@ class ObservationSet:
                 out.append(frozenset(combo))
         out.sort(key=letter_key)
         return out
-
-    def validate_letter(self, l: Letter) -> Letter:
-        extra = set(l) - set(self.names)
-        if extra:
-            raise AlphabetError(f"letter uses undeclared observations: {sorted(extra)}")
-        return frozenset(l)

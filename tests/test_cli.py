@@ -143,7 +143,7 @@ class TestRun:
         known = replay_known_sets(grid, [tuple(e["cell"]) for e in trace], 3)  # default --h
         for t, (entry, k) in enumerate(zip(trace, known)):
             root = ProductState(tuple(entry["cell"]), entry["dfa"])
-            fresh = expand(ProductGraph(grid, dfa, root), grid, k, dfa)
+            fresh = expand(ProductGraph(grid, dfa, root), k)
             assert dump[t] == {"t": t, "nodes": fresh.node_count(), "edges": fresh.edge_count()}
 
     @pytest.mark.parametrize("method", ["ours", "baseline"])
@@ -266,3 +266,43 @@ class TestRender:
         )
         assert code == 0
         assert out.read_text().startswith("<svg")
+
+
+RESCUE_MAP = str(MAPS_DIR / "rescue.map")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--map", RESCUE_MAP, "--formula", "F s", "--h", "0"],
+        ["render", "--map", RESCUE_MAP, "--formula", "F s", "--alpha1", "0"],
+        ["run", "--map", RESCUE_MAP, "--formula", "F s", "--alpha1", "inf"],
+        ["render", "--dfa", str(TWO_A_DFA), "--map", RESCUE_MAP],
+        ["render", "--map", RESCUE_MAP, "--formula", "F s", "--frames", "99"],
+        ["render", "--map", RESCUE_MAP, "--formula", "F s", "--frames", "-99"],
+        ["bench", "--size", "5"],
+        ["bench", "--n-blocks", "-1"],
+        ["bench", "--n-maps", "0"],
+        ["bench", "--methods", "foo"],
+        ["bench", "--formula", "F q", "--n-maps", "1"],
+    ],
+    ids=[
+        "run-h-0",
+        "render-alpha1-0",
+        "run-alpha1-inf",
+        "render-undeclared-label",
+        "render-frames-99",
+        "render-frames-minus-99",
+        "bench-size-5",
+        "bench-n-blocks-minus-1",
+        "bench-n-maps-0",
+        "bench-methods-foo",
+        "bench-formula-unknown-atom",
+    ],
+)
+def test_bad_input_is_exit_2_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+

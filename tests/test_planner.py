@@ -7,7 +7,7 @@ from tlfrontier.env import KnownSet, load_map, random_map
 from tlfrontier.planner import (
     NEG_INF,
     PlannerConfig,
-    PlanningContext,
+    ProductPolicy,
     SATISFIED,
     UNSATISFIABLE,
     frontier_value,
@@ -16,6 +16,7 @@ from tlfrontier.planner import (
 )
 from tlfrontier.product import ProductGraph, ProductState, expand
 from tlfrontier.scltl import ObservationSet, compile_dfa, parse_formula, pruned_distances
+from tlfrontier.search import path
 
 from helpers import MAPS_DIR
 
@@ -65,8 +66,8 @@ class TestOmega:
 def scoring_setup(grid, formula, known):
     dfa = compile_dfa(parse_formula(formula, grid.alphabet), grid.alphabet)
     root = ProductState(grid.start, dfa.step(dfa.initial, grid.letter_at(grid.start)))
-    g = expand(ProductGraph(grid, dfa, root), grid, known, dfa)
-    ctx = PlanningContext(
+    g = expand(ProductGraph(grid, dfa, root), known)
+    ctx = ProductPolicy(
         dfa=dfa,
         commits=commit_states(dfa),
         distances=pruned_distances(dfa),
@@ -87,7 +88,7 @@ class TestFrontierValue:
         assert scored.value == 1.5
         assert scored.weight == 2
         assert scored.best_end == ProductState((2, 0), dfa.initial)
-        assert [a for a, _ in scored.best_path] == ["right", "right"]
+        assert [a for a, _ in path(g.parents, scored.best_end)] == ["right", "right"]
 
     def test_commit_only_frontier_scores_negative(self):
         # the only product states over the frontier end in a commit state

@@ -36,7 +36,7 @@ def corridor(n=6):
 def rooted(grid, dfa, known):
     root = ProductState(grid.start, dfa.step(dfa.initial, grid.letter_at(grid.start)))
     g = ProductGraph(grid, dfa, root)
-    return expand(g, grid, known, dfa)
+    return expand(g, known)
 
 
 def rescue_dfa():
@@ -88,7 +88,7 @@ class TestExpand:
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
         nodes, parents = dict(g.nodes), dict(g.parents)
-        expand(g, grid, k, dfa)
+        expand(g, k)
         assert g.nodes == nodes
         assert g.parents == parents
 
@@ -100,7 +100,7 @@ class TestExpand:
         n1 = g.node_count()
         k2 = sense(grid, (6, 6), 3, k1)
         added_cells = len(k2) - len(k1)
-        expand(g, grid, k2, dfa)
+        expand(g, k2)
         assert g.node_count() - n1 <= added_cells * len(dfa.states)
 
     def test_nodes_are_over_known_cells_only(self):
@@ -149,10 +149,10 @@ class TestAcceptingReachable:
         g = rooted(grid, dfa, k)
         assert not accepting_reachable(g)
         k = sense(grid, (2, 0), 2, k)
-        expand(g, grid, k, dfa)
+        expand(g, k)
         assert accepting_reachable(g)
         k = sense(grid, (4, 0), 2, k)
-        expand(g, grid, k, dfa)
+        expand(g, k)
         assert accepting_reachable(g)
 
     def test_agrees_with_search_from_root(self):
@@ -191,7 +191,7 @@ class TestEdgeCache:
     @staticmethod
     def assert_same_as_fresh(g, grid, dfa, k):
         fresh = ProductGraph(grid, dfa, g.root)
-        expand(fresh, grid, k, dfa)
+        expand(fresh, k)
         assert g.nodes == fresh.nodes
         assert g.parents == fresh.parents
         # every node over the known cells, reachable or not, so stale
@@ -215,7 +215,7 @@ class TestEdgeCache:
                 k = sense(grid, cell, rng.randrange(1, 3), k)
                 if g.nodes and rng.random() < 0.5:
                     g.root = rng.choice(sorted(g.nodes))
-                expand(g, grid, k, dfa)
+                expand(g, k)
                 self.assert_same_as_fresh(g, grid, dfa, k)
 
     def test_shrinking_known_set(self):
@@ -225,11 +225,11 @@ class TestEdgeCache:
         large = sense(grid, grid.start, 6, small)
         g = rooted(grid, dfa, large)
         self.assert_same_as_fresh(g, grid, dfa, large)
-        expand(g, grid, small, dfa)
+        expand(g, small)
         self.assert_same_as_fresh(g, grid, dfa, small)
         # a known set that neither contains nor is contained in the last
         other = sense(grid, (5, 5), 4, KnownSet())
-        expand(g, grid, other, dfa)
+        expand(g, other)
         self.assert_same_as_fresh(g, grid, dfa, other)
 
 
@@ -335,7 +335,7 @@ class TestWordConsistency:
             k = sense(grid, grid.start, 3, KnownSet())
             k = sense(grid, (6, 6), 4, k)
             root = ProductState(grid.start, dfa.step(dfa.initial, grid.letter_at(grid.start)))
-            g = expand(ProductGraph(grid, dfa, root), grid, k, dfa)
+            g = expand(ProductGraph(grid, dfa, root), k)
             weights, parents = min_weight_paths(g, root)
             targets = rng.sample(sorted(weights), min(20, len(weights)))
             for node in targets:
