@@ -23,6 +23,7 @@ from .planner import (
     PlannerConfig,
     ScoredFrontier,
     StepLimitError,
+    WeightOverflowError,
     frontier_value,
     omega,
     run_episode,

@@ -22,7 +22,7 @@ from .bench import (
 )
 from .commit import commit_states
 from .env import RANDOM_MAP_MIN_SIZE, MapFormatError, MapGenerationError, load_map
-from .planner import PlannerConfig, run_episode
+from .planner import PlannerConfig, WeightOverflowError, run_episode
 from .product import ProductGraph, ProductState, expand
 from .render import RenderError, render_trajectory, replay_known_sets
 from .scltl import (
@@ -177,7 +177,7 @@ def _run_method(args):
             result = run_baseline(grid, dfa, cfg)
         else:
             result = run_episode(grid, dfa, cfg=cfg)
-    except AlphabetError as exc:  # a map label the automaton does not declare
+    except (AlphabetError, WeightOverflowError) as exc:  # an undeclared map label, a huge --alpha3
         raise CliError(str(exc)) from exc
     return grid, dfa, cfg, result
 
@@ -192,7 +192,7 @@ def cmd_run(args) -> int:
         states = dfa.run_states(result.word)[1:]  # the state at each trajectory cell
         graph = ProductGraph(grid, dfa, ProductState(result.trajectory[0], states[0]))
         for t, (cell, s) in enumerate(zip(result.trajectory, states)):
-            graph.root = ProductState(cell, s)
+            graph.root = graph.node_id(ProductState(cell, s))
             expand(graph, known[t])
             sys.stdout.write(
                 json.dumps({"t": t, "nodes": graph.node_count(), "edges": graph.edge_count()})
@@ -226,7 +226,7 @@ def cmd_bench(args) -> int:
         )
         try:
             records, _ = run_bench(config)
-        except (MapGenerationError, ParseError, StateLimitError) as exc:
+        except (MapGenerationError, ParseError, StateLimitError, WeightOverflowError) as exc:
             raise CliError(str(exc)) from exc
         all_records.extend(records)
     table, summary = summarize(all_records)

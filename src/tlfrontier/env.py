@@ -9,17 +9,28 @@ unlabeled cells: once the robot stands on such a cell, only labeled
 neighbors remain reachable. Sensing and frontier adjacency ignore this
 and use plain undirected 4-adjacency (sensors see terrain regardless of
 traversability).
+
+The frontier layer is kept, not recomputed. Each `KnownSet` that `sense`
+returns carries its frontier cells and the information gains asked of it
+so far (`FrontierLayer`). Sensing re-tests only the newly known cells and
+their 4-neighbours, the only cells whose frontier status can change, and
+lowers each cached gain by the new cells within its radius, as the
+incremental detection of Keidar and Kaminka's Fast Frontier Detector does
+("Efficient frontier detection for robot exploration", IJRR 2014). So
+`frontiers` and `is_frontier` read a set, and `info_gain` scans a diamond
+only for a cell it has not seen. A known set built by hand gets its layer
+from one full scan, on first use.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterator, Optional
 
-from .scltl.alphabet import EMPTY_LETTER, Letter, ObservationSet
+from .scltl.alphabet import EMPTY_LETTER, AlphabetError, Letter, ObservationSet
 
 Cell = tuple
 
@@ -112,17 +123,43 @@ class GridMap:
         return name[0].upper()
 
 
+@dataclass
+class FrontierLayer:
+    """The frontier cells of one known set on one grid, and the information
+    gains asked of it so far, each for sensing radius `gain_h`."""
+
+    grid: GridMap
+    cells: frozenset
+    gain_h: int = 0
+    gains: dict = field(default_factory=dict)  # cell -> unknown cells within gain_h
+
+
 @dataclass(frozen=True)
 class KnownSet:
-    """The cells whose labels have been revealed so far."""
+    """The cells whose labels have been revealed so far.
+
+    `layer` is the set's frontier layer, carried forward by `sense`; it is
+    not part of the set's value.
+    """
 
     cells: frozenset = frozenset()
+    layer: Optional[FrontierLayer] = field(default=None, compare=False, repr=False)
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def frontier_layer(self, grid: GridMap) -> FrontierLayer:
+        """The frontier layer on `grid`, built by one scan of the known
+        cells unless `sense` carried it forward to this set."""
+        layer = self.layer
+        if layer is None or layer.grid is not grid:
+            known = self.cells
+            layer = FrontierLayer(grid, frozenset(c for c in known if not known.issuperset(grid.neighbors4(c))))
+            object.__setattr__(self, "layer", layer)  # a memo, not part of the value
+        return layer
 
 
 def load_map(text: str) -> GridMap:
@@ -167,7 +204,10 @@ def load_map(text: str) -> GridMap:
         if char in legend:
             raise MapFormatError(f"duplicate legend character {char!r}")
         legend[char] = obs
-    alphabet = ObservationSet(legend.values())
+    try:
+        alphabet = ObservationSet(legend.values())
+    except AlphabetError as exc:
+        raise MapFormatError(f"bad legend: {exc}") from None
 
     rows = lines[3:]
     if len(rows) != height:
@@ -212,42 +252,75 @@ def format_map(grid: GridMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _ball(h: int) -> tuple:
+    """The offsets `(dc, dr)` within h undirected hops of a cell."""
+    return tuple((dc, dr) for dr in range(-h, h + 1) for dc in range(abs(dr) - h, h - abs(dr) + 1))
+
+
 def _diamond(grid: GridMap, x: Cell, h: int) -> set:
     """Cells within h undirected hops of x (a clipped Manhattan diamond)."""
     c0, r0 = x
-    out = set()
-    for dr in range(-h, h + 1):
-        span = h - abs(dr)
-        for dc in range(-span, span + 1):
-            cell = (c0 + dc, r0 + dr)
-            if grid.in_bounds(cell):
-                out.add(cell)
-    return out
+    w, hh = grid.width, grid.height
+    return {(c0 + dc, r0 + dr) for dc, dr in _ball(h) if 0 <= c0 + dc < w and 0 <= r0 + dr < hh}
 
 
 def sense(grid: GridMap, x: Cell, h: int, k: KnownSet) -> KnownSet:
-    """Reveal every cell within h hops of x; idempotent, only ever grows."""
+    """Reveal every cell within h hops of x; idempotent, only ever grows.
+
+    The result carries the frontier layer of `k` forward: only the newly
+    known cells and their 4-neighbours are tested again, and each cached
+    gain drops by the new cells within its radius.
+    """
     if h < 1:
         raise ValueError("sensing radius must be at least 1")
     if not grid.in_bounds(x):
         raise ValueError(f"sensing position {x} outside the grid")
-    return KnownSet(k.cells | frozenset(_diamond(grid, x, h)))
+    new = _diamond(grid, x, h) - k.cells
+    if not new:
+        return k
+    old = k.frontier_layer(grid)
+    known = k.cells | new
+    touched = set(new)
+    for cell in new:
+        touched.update(grid.neighbors4(cell))
+    cells = set(old.cells)
+    for cell in touched:
+        if cell in known and not known.issuperset(grid.neighbors4(cell)):
+            cells.add(cell)
+        else:
+            cells.discard(cell)
+    gains = {cell: gain for cell, gain in old.gains.items() if cell in cells}
+    if gains:
+        ball = _ball(old.gain_h)
+        for c, r in new:
+            for dc, dr in ball:
+                near = (c + dc, r + dr)
+                if near in gains:  # so in bounds
+                    gains[near] -= 1
+    return KnownSet(known, FrontierLayer(grid, frozenset(cells), old.gain_h, gains))
 
 
 def is_frontier(grid: GridMap, k: KnownSet, cell: Cell) -> bool:
-    return cell in k.cells and any(n not in k.cells for n in grid.neighbors4(cell))
+    return cell in k.frontier_layer(grid).cells
 
 
-def frontiers(grid: GridMap, k: KnownSet) -> set:
+def frontiers(grid: GridMap, k: KnownSet) -> frozenset:
     """Known cells adjacent to at least one unknown cell."""
-    return {cell for cell in k.cells if is_frontier(grid, k, cell)}
+    return k.frontier_layer(grid).cells
 
 
 def info_gain(grid: GridMap, x: Cell, h: int, k: KnownSet) -> int:
     """Number of still-unknown cells a visit to x would reveal."""
     if x not in k.cells:
         raise ValueError(f"information gain queried for unknown cell {x}")
-    return sum(1 for cell in _diamond(grid, x, h) if cell not in k.cells)
+    layer = k.frontier_layer(grid)
+    if layer.gain_h != h:
+        layer.gain_h, layer.gains = h, {}
+    gain = layer.gains.get(x)
+    if gain is None:
+        gain = layer.gains[x] = sum(1 for cell in _diamond(grid, x, h) if cell not in k.cells)
+    return gain
 
 
 def _non_blocked_reach(grid: GridMap, blocked_label: str) -> set:

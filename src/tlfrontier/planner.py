@@ -13,11 +13,19 @@ far they walk toward it:
 - `baseline.NearestPolicy` takes the nearest frontier whose grid path does
   not violate the task, and walks that path to completion.
 
+Scoring reads the frontier layer that `sense` keeps on the known set
+(`env.FrontierLayer`), so an iteration neither rescans the known cells
+for frontiers nor recounts the gain of a frontier it has scored before;
+it reads the product graph over integer node ids (`product`), and turns
+them into `ProductState`s only for the steps it executes.
+
 Trajectories ending in trash score minus infinity and are never selected;
 ending in a commit state scores negative, so committing progress is taken
 only when no safer frontier remains. The score is divided by `w ** alpha3`
 whatever its sign, so among frontiers that can only end in a commit state
-the farther one scores higher (its negative value is nearer zero).
+the farther one scores higher (its negative value is nearer zero). An
+`alpha3` so large that `w ** alpha3` could overflow a float on the map is
+rejected before the episode starts (`WeightOverflowError`).
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ NEG_INF = float("-inf")
 
 class StepLimitError(RuntimeError):
     """The episode exceeded its step budget; indicates an implementation bug."""
+
+
+class WeightOverflowError(ValueError):
+    """`alpha3` is so large that a hop weight `w ** alpha3` overflows a float
+    on this map."""
 
 
 @dataclass(frozen=True)
@@ -115,14 +128,14 @@ def frontier_value(
     `cur` through non-trash nodes, each taken at its hop count. Ties
     prefer fewer hops, then the smaller automaton state id.
     """
-    if not is_frontier(policy.grid, k, x):
+    if x not in k.frontier_layer(policy.grid).cells:
         raise ValueError(f"{x} is not a frontier")
-    hops, _ = min_weight_paths(g, cur)
+    hops, _ = min_weight_paths(g, g.node_id(cur))
     cfg, size = policy.cfg, policy.grid.size()
     gain = info_gain(policy.grid, x, cfg.h, k)
     best = None  # (-value, hops, automaton state)
-    for s in policy.dfa.states:
-        w = hops.get(ProductState(x, s))
+    for node, s in zip(g.cell_nodes(x), g.states):
+        w = hops.get(node)
         if w:  # None: unreachable; 0: the robot's own node
             task = omega(policy.dfa, policy.commits, policy.distances, cur.dfa_state, s, size, cfg)
             value = (cfg.alpha1 * gain + cfg.alpha2 * task) / (w ** cfg.alpha3)
@@ -142,6 +155,12 @@ class _Episode:
             raise AlphabetError(
                 f"map labels {sorted(undeclared)} missing from the automaton alphabet"
             )
+        try:  # no trajectory has more hops than the product has nodes
+            float(grid.size() * len(dfa.states)) ** cfg.alpha3
+        except OverflowError:
+            raise WeightOverflowError(
+                f"alpha3 = {cfg.alpha3:g} overflows the hop weight on a map of {grid.size()} cells"
+            ) from None
         self.grid = grid
         self.dfa = dfa
         self.cfg = cfg
@@ -187,7 +206,7 @@ class _Episode:
         self.trajectory.append(node.cell)
         self.word.append(self.grid.letter_at(node.cell))
         self.known = sense(self.grid, node.cell, self.cfg.h, self.known)
-        self.graph.root = self.cur
+        self.graph.root = self.graph.node_id(node)
         expand(self.graph, self.known)
         self._trace_step()
 
@@ -206,15 +225,17 @@ class _Episode:
         """
         self.phase = "satisfy"
         self.last_target = None
-        hops, parents = min_weight_paths(self.graph, self.cur)
-        goal = min(
-            (node for node in hops if self.graph.is_accepting(node)),
-            key=lambda node: (hops[node], (node.cell[1], node.cell[0]), node.dfa_state),
-            default=None,
-        )
+        g = self.graph
+        hops, parents = min_weight_paths(g, g.root)
+
+        def key(node):  # fewest hops, then row-major cell, then automaton state
+            (c, r), s = g.state(node)
+            return hops[node], r, c, s
+
+        goal = min(filter(g.is_accepting, hops), key=key, default=None)
         assert goal is not None, "satisfying phase entered without a reachable accepting node"
         for action, node in path(parents, goal):
-            self.execute(action, node)
+            self.execute(action, g.state(node))
         final = self.dfa.run(self.word)
         assert final in self.dfa.accepting, "executed word does not end accepting"
         return self.result(SATISFIED)
@@ -267,12 +288,13 @@ class ProductPolicy:
         )
         if target.value == NEG_INF:
             return None
-        _, parents = min_weight_paths(ep.graph, ep.cur)
-        return self._walk(ep, target.cell, path(parents, target.best_end))
+        g = ep.graph
+        _, parents = min_weight_paths(g, g.root)
+        return self._walk(ep, target.cell, path(parents, g.node_id(target.best_end)))
 
     def _walk(self, ep: _Episode, target: Cell, steps: list):
-        for step in steps:
-            yield step
+        for action, node in steps:
+            yield action, ep.graph.state(node)
             if accepting_reachable(ep.graph) or not is_frontier(self.grid, ep.known, target):
                 return
 

@@ -7,13 +7,19 @@ the one search from the graph's root (the robot's current product state)
 over these edges, and every query reads its result: the hop count and
 parent of each non-trash node reachable from the root.
 
+Inside the graph a node is an int, `(c * height + r) * |Q| + rank(q)` for
+cell `(c, r)` and automaton state `q`, where `rank` orders the automaton's
+states by id. Cells are numbered column by column so that the order of
+ids is the order of the `ProductState`s they stand for: the search breaks
+ties by the smallest id, and so picks the parents it picked over
+`ProductState`s. `node_id` and `state` convert at the boundary, where
+paths are executed, traced and dumped.
+
 A node's edges are computed the first time they are asked for and kept for
 the life of the graph. Labels never change, so the edges out of a node on
 cell `c` change only when `c` or one of its 4-neighbours becomes known;
 `expand` drops exactly those entries for each newly known cell, and drops
-them all when the new known set lacks a cell of the old one. Cached edges
-share one object per target node, so the cache holds each node once,
-however many edges lead to it.
+them all when the new known set lacks a cell of the old one.
 """
 
 from __future__ import annotations
@@ -36,14 +42,29 @@ class ProductGraph:
     def __init__(self, grid: GridMap, dfa: TotalDfa, root: ProductState):
         self.grid = grid
         self.dfa = dfa
-        self.root = root
+        self.states = tuple(sorted(dfa.states))  # rank -> automaton state
+        self._rank = {s: i for i, s in enumerate(self.states)}
+        self._accepting = frozenset(self._rank[s] for s in dfa.accepting)
+        self.root = self.node_id(root)
         self.known = KnownSet()
-        self.nodes = {}  # node -> hops from the root
-        self.parents = {}  # node -> (predecessor, action), the root excluded
-        self._edges = {}  # node -> successors over `known`, filled lazily
-        self._interned = {}  # node -> the one object every cached edge uses for it
+        self.nodes = {}  # node id -> hops from the root
+        self.parents = {}  # node id -> (predecessor, action), the root excluded
+        self._edges = {}  # node id -> successors over `known`, filled lazily
 
-    def successors(self, node: ProductState) -> list:
+    def node_id(self, state: ProductState) -> int:
+        (c, r), s = state
+        return (c * self.grid.height + r) * len(self.states) + self._rank[s]
+
+    def cell_nodes(self, cell: Cell) -> range:
+        """The ids of the nodes on `cell`, one per automaton state by rank."""
+        first = self.node_id((cell, self.states[0]))
+        return range(first, first + len(self.states))
+
+    def state(self, node: int) -> ProductState:
+        cell, rank = divmod(node, len(self.states))
+        return ProductState(divmod(cell, self.grid.height), self.states[rank])
+
+    def successors(self, node: int) -> list:
         """The `(action, next)` edges out of `node` over the known cells,
         Stay included; steps into trash are left out. The list is shared
         with later calls and must not be changed."""
@@ -51,23 +72,23 @@ class ProductGraph:
         if out is not None:
             return out
         grid, dfa, known = self.grid, self.dfa, self.known
+        cell, q = self.state(node)
         out = []
         for action in ACTIONS:
-            nxt_cell = grid.move(node.cell, action)
-            if nxt_cell is None or nxt_cell not in known:
+            nxt = grid.move(cell, action)
+            if nxt is None or nxt not in known:
                 continue
-            s = dfa.step(node.dfa_state, grid.letter_at(nxt_cell))
+            s = dfa.step(q, grid.letter_at(nxt))
             if s != dfa.trash:
-                nxt = ProductState(nxt_cell, s)
-                out.append((action, self._interned.setdefault(nxt, nxt)))
+                out.append((action, self.node_id((nxt, s))))
         self._edges[node] = out
         return out
 
-    def is_trash(self, node: ProductState) -> bool:
-        return node.dfa_state == self.dfa.trash
+    def is_trash(self, node: int) -> bool:
+        return self.states[node % len(self.states)] == self.dfa.trash
 
-    def is_accepting(self, node: ProductState) -> bool:
-        return node.dfa_state in self.dfa.accepting
+    def is_accepting(self, node: int) -> bool:
+        return node % len(self.states) in self._accepting
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -85,15 +106,15 @@ def expand(g: ProductGraph, k: KnownSet) -> ProductGraph:
     out of nodes on a newly known cell or on its 4-neighbours.
     """
     if k.cells >= g.known.cells:
-        edges, states = g._edges, g.dfa.states
+        edges = g._edges
         for cell in k.cells - g.known.cells:
             for c in (cell, *g.grid.neighbors4(cell)):
-                for s in states:
-                    edges.pop(ProductState(c, s), None)
+                for node in g.cell_nodes(c):
+                    edges.pop(node, None)
     else:
         g._edges.clear()
     g.known = k
-    if g.root.cell in k:
+    if g.state(g.root).cell in k:
         g.nodes, g.parents = bfs([g.root], g.successors)
     else:
         g.nodes, g.parents = {}, {}
@@ -103,15 +124,16 @@ def expand(g: ProductGraph, k: KnownSet) -> ProductGraph:
 def accepting_reachable(g: ProductGraph) -> bool:
     """True iff an accepting node can be reached from the root through
     non-trash nodes."""
-    return not g.dfa.accepting.isdisjoint(node.dfa_state for node in g.nodes)
+    n_states = len(g.states)
+    return not g._accepting.isdisjoint(node % n_states for node in g.nodes)
 
 
-def min_weight_paths(g: ProductGraph, src: ProductState):
+def min_weight_paths(g: ProductGraph, src: int):
     """Hop counts and parents from the root, as `expand` found them.
 
-    Returns `(hops, parents)` as `search.bfs` does: unreachable nodes are
-    absent, and parents map a node to its `(predecessor, action)`. Only
-    the root is a valid `src`.
+    Returns `(hops, parents)` over node ids as `search.bfs` does:
+    unreachable nodes are absent, and parents map a node to its
+    `(predecessor, action)`. Only the root is a valid `src`.
     """
     if src != g.root:
         raise ValueError(f"paths are searched from the root {g.root}, not {src}")

@@ -29,6 +29,8 @@ class TotalDfa:
     trash: int
 
     def __post_init__(self):
+        if not all(type(s) is int for s in self.states):
+            raise DfaError("state ids must be integers")
         states = set(self.states)
         if len(states) != len(self.states):
             raise DfaError("duplicate state ids")

@@ -139,3 +139,37 @@ def distinguishable(dfa: TotalDfa, s1: int, s2: int) -> bool:
                 seen.add(pair)
                 queue.append(pair)
     return False
+
+
+def scan_frontier(grid, cells) -> set:
+    """Known cells with an unknown in-bounds 4-neighbour, by a full scan."""
+    return {
+        (c, r)
+        for c, r in cells
+        if any(
+            0 <= c + dc < grid.width and 0 <= r + dr < grid.height and (c + dc, r + dr) not in cells
+            for dc, dr in ((0, 1), (0, -1), (1, 0), (-1, 0))
+        )
+    }
+
+
+def scan_gain(grid, cell, h, cells) -> int:
+    """Unknown cells within `h` hops of `cell`, counted over its bounding box."""
+    c0, r0 = cell
+    return sum(
+        1
+        for c in range(max(0, c0 - h), min(grid.width, c0 + h + 1))
+        for r in range(max(0, r0 - h), min(grid.height, r0 + h + 1))
+        if abs(c - c0) + abs(r - r0) <= h and (c, r) not in cells
+    )
+
+
+def assert_layer_matches_scan(grid, k) -> int:
+    """The frontier layer `k` carries equals a full scan of its cells, and
+    so does every gain it has cached; returns the number of gains checked."""
+    layer = k.layer
+    assert layer is not None and layer.grid is grid
+    assert layer.cells == scan_frontier(grid, k.cells)
+    for cell, gain in layer.gains.items():
+        assert gain == scan_gain(grid, cell, layer.gain_h, k.cells), cell
+    return len(layer.gains)

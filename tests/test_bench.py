@@ -15,9 +15,11 @@ from tlfrontier.bench import (
 )
 from tlfrontier.planner import PlannerConfig
 
-# sha256 of the results file of the suite in `test_matches_recorded_digest`.
-# A change to it is a change of results, which must be explained.
+# sha256 of the results files of the suites in `test_matches_recorded_digest`
+# and `test_matches_recorded_digest_at_size_40`. A change to either is a
+# change of results, which must be explained.
 RECORDED_DIGEST = "a0008c8a89ed44a346681128d452ea01d91dab4e25f68ddda759b4f13a1b36b7"
+RECORDED_DIGEST_SIZE_40 = "8738384761c9ce0031e601d61538cc2bcd139f2939f6d113d18bc32c54af7511"
 
 
 def small_config(**overrides):
@@ -120,6 +122,14 @@ class TestResultsFile:
         out = tmp_path / "results.jsonl"
         write_results(out, records, summarize(records)[1])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGEST
+
+    def test_matches_recorded_digest_at_size_40(self, tmp_path):
+        # longer episodes over larger known sets, as `tlfrontier bench
+        # --size 40 --n-blocks 20 --n-maps 3 --out ...` writes them
+        records = run_bench(BenchConfig(size=40, n_blocks=20, n_maps=3))[0]
+        out = tmp_path / "results.jsonl"
+        write_results(out, records, summarize(records)[1])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGEST_SIZE_40
 
     def test_timings_flag_adds_wall_clock(self, tmp_path):
         records, summary = run_bench(small_config(n_maps=1))

@@ -285,6 +285,9 @@ RESCUE_MAP = str(MAPS_DIR / "rescue.map")
         ["bench", "--n-maps", "0"],
         ["bench", "--methods", "foo"],
         ["bench", "--formula", "F q", "--n-maps", "1"],
+        ["run", "--map", RESCUE_MAP, "--formula", "F s", "--alpha3", "400"],
+        ["render", "--map", RESCUE_MAP, "--formula", "F s", "--alpha3", "1e10"],
+        ["bench", "--size", "10", "--n-maps", "1", "--alpha3", "400"],
     ],
     ids=[
         "run-h-0",
@@ -298,6 +301,9 @@ RESCUE_MAP = str(MAPS_DIR / "rescue.map")
         "bench-n-maps-0",
         "bench-methods-foo",
         "bench-formula-unknown-atom",
+        "run-alpha3-400",
+        "render-alpha3-1e10",
+        "bench-alpha3-400",
     ],
 )
 def test_bad_input_is_exit_2_without_traceback(capsys, argv):

@@ -121,6 +121,20 @@ class TestJsonFormat:
         with pytest.raises(DfaError):
             TotalDfa.from_json_dict({"alphabet": ["a"]})
 
+    @pytest.mark.parametrize("rename", [str, lambda s: s if s else "zero", float])
+    def test_state_ids_must_be_integers(self, abc, rename):
+        # ids of other types would not order against each other, and the
+        # product graph numbers its nodes by the order of the state ids
+        doc = phi0_dfa(abc).to_json_dict()
+        doc["states"] = [rename(s) for s in doc["states"]]
+        for key in ("initial", "trash"):
+            doc[key] = rename(doc[key])
+        doc["accepting"] = [rename(s) for s in doc["accepting"]]
+        for e in doc["transitions"]:
+            e["from"], e["to"] = rename(e["from"]), rename(e["to"])
+        with pytest.raises(DfaError, match="integers"):
+            TotalDfa.from_json_dict(doc)
+
 
 class TestPrunedDistances:
     def test_reference_formula(self, abc):

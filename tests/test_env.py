@@ -1,5 +1,7 @@
 """Grid world: map parsing, sensing, frontiers, and the map generator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from tlfrontier.env import (
     random_map,
     sense,
 )
+
+from helpers import assert_layer_matches_scan, scan_frontier, scan_gain
 
 EMPTY_2X2 = """map 2 2
 start 0 0
@@ -218,6 +222,59 @@ class TestInfoGain:
         grid = big_empty()
         with pytest.raises(ValueError):
             info_gain(grid, (10, 10), 3, KnownSet())
+
+
+class TestFrontierLayer:
+    """`sense` carries the frontier set and the cached gains forward; they
+    must equal a full scan of the grid after every sensing step."""
+
+    @pytest.mark.parametrize("width,height", [(13, 7), (7, 13), (20, 20)])
+    def test_follows_random_sensing(self, width, height):
+        grid = load_map(f"map {width} {height}\nstart 0 0\nlegend\n" + ("." * width + "\n") * height)
+        rng = random.Random(width * height)
+        checked = 0
+        for _ in range(4):
+            k = sense(grid, (0, 0), rng.randrange(1, 4), KnownSet())
+            while len(k) < grid.size():
+                cell = (rng.randrange(width), rng.randrange(height))
+                k = sense(grid, cell, rng.randrange(1, 4), k)
+                checked += assert_layer_matches_scan(grid, k)
+                fs = sorted(frontiers(grid, k))
+                for x in rng.sample(fs, min(5, len(fs))):
+                    assert info_gain(grid, x, 3, k) == scan_gain(grid, x, 3, k.cells)
+        assert checked > 0
+
+    def test_gain_radius_change_starts_a_new_cache(self):
+        grid = big_empty()
+        k = sense(grid, (10, 10), 2, KnownSet())
+        for h in (2, 3, 2):
+            for x in sorted(frontiers(grid, k)):
+                assert info_gain(grid, x, h, k) == scan_gain(grid, x, h, k.cells)
+        k = sense(grid, (12, 10), 2, k)
+        assert k.layer.gain_h == 2
+        assert_layer_matches_scan(grid, k)
+
+    def test_directly_built_set_is_scanned(self):
+        grid = big_empty()
+        cells = frozenset((c, r) for c in range(3, 9) for r in range(5) if (c, r) != (5, 2))
+        k = KnownSet(cells)
+        assert frontiers(grid, k) == scan_frontier(grid, cells)
+        assert (5, 1) in frontiers(grid, k)  # beside the hole
+        assert_layer_matches_scan(grid, sense(grid, (5, 2), 1, k))
+
+    def test_layer_belongs_to_one_grid(self):
+        small, large = load_map(EMPTY_2X2), big_empty()
+        k = KnownSet(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+        assert frontiers(small, k) == set()
+        assert frontiers(large, k) == {(1, 0), (0, 1), (1, 1)}
+        assert frontiers(small, k) == set()
+
+    def test_layer_is_not_part_of_the_value(self):
+        grid = big_empty()
+        k = sense(grid, (4, 4), 2, KnownSet())
+        bare = KnownSet(k.cells)
+        assert bare.layer is None and k.layer is not None
+        assert k == bare and hash(k) == hash(bare)
 
 
 class TestRandomMap:

@@ -1,6 +1,6 @@
 """The one episode loop, seen from outside: every output of both methods on
-a fixed map set is pinned, and the planner's commit avoidance is checked
-on every iteration."""
+a fixed map set is pinned, the planner's commit avoidance is checked on
+every iteration, and the frontier layer on every step."""
 
 import hashlib
 import json
@@ -14,7 +14,7 @@ from tlfrontier.planner import run_episode
 from tlfrontier.product import ProductState
 from tlfrontier.scltl import ObservationSet, compile_dfa, parse_formula
 
-from helpers import MAPS_DIR, STAY_MAP, two_consecutive_a
+from helpers import MAPS_DIR, STAY_MAP, assert_layer_matches_scan, two_consecutive_a
 
 # sha256 of `episode_outputs()`, recorded before the planner and the
 # baseline shared one loop. A change to it is a change of results (a
@@ -88,7 +88,7 @@ def test_commit_chosen_only_when_no_safe_end_is_reachable(monkeypatch):
         return plan(self, ep, fs)
 
     def recording_score(g, cur, x, k, ctx):
-        groups[-1] = groups[-1] or any(g.nodes.get(ProductState(x, s), 0) > 0 for s in safe_states)
+        groups[-1] = groups[-1] or any(g.nodes.get(g.node_id(ProductState(x, s)), 0) > 0 for s in safe_states)
         return score(g, cur, x, k, ctx)
 
     monkeypatch.setattr(planner.ProductPolicy, "plan", recording_plan)
@@ -107,3 +107,25 @@ def test_commit_chosen_only_when_no_safe_end_is_reachable(monkeypatch):
                 assert not had_safe_end, f"commit end chosen over a safe one at {it}"
     assert commit_choices > 0, "no commit choice was exercised"
 
+
+
+def test_frontier_layer_matches_a_full_scan_after_every_step(monkeypatch):
+    """After every executed step of both methods, the frontier set and the
+    cached gains that `sense` carried forward equal a full scan."""
+    dfa, commits = phi1_task()
+    grids = [load_map((MAPS_DIR / "rescue.map").read_text())]
+    grids += [random_map(20, n_blocks, seed) for n_blocks in (0, 5, 20) for seed in range(2)]
+    grids += [random_map(40, 20, 0)]
+    execute = planner._Episode.execute
+    checked = {"steps": 0, "gains": 0}
+
+    def checked_execute(self, action, node):
+        execute(self, action, node)
+        checked["steps"] += 1
+        checked["gains"] += assert_layer_matches_scan(self.grid, self.known)
+
+    monkeypatch.setattr(planner._Episode, "execute", checked_execute)
+    for grid in grids:
+        run_episode(grid, dfa, commits)
+        run_baseline(grid, dfa)
+    assert checked["steps"] > 900 and checked["gains"] > 20000

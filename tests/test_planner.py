@@ -10,6 +10,7 @@ from tlfrontier.planner import (
     ProductPolicy,
     SATISFIED,
     UNSATISFIABLE,
+    WeightOverflowError,
     frontier_value,
     omega,
     run_episode,
@@ -88,7 +89,7 @@ class TestFrontierValue:
         assert scored.value == 1.5
         assert scored.weight == 2
         assert scored.best_end == ProductState((2, 0), dfa.initial)
-        assert [a for a, _ in path(g.parents, scored.best_end)] == ["right", "right"]
+        assert [a for a, _ in path(g.parents, g.node_id(scored.best_end))] == ["right", "right"]
 
     def test_commit_only_frontier_scores_negative(self):
         # the only product states over the frontier end in a commit state
@@ -234,6 +235,16 @@ class TestRunEpisode:
         dfa = compile_dfa(parse_formula("F p", al), al)
         with pytest.raises(StepLimitError):
             run_episode(grid, dfa, cfg=PlannerConfig(step_cap=2))
+
+    def test_alpha3_that_overflows_the_hop_weight_is_rejected(self):
+        # 25 cells x 3 states: 75 ** 165 overflows a float, 75 ** 164 does not
+        grid = empty_5x5((4, "....P"))
+        al = grid.alphabet
+        dfa = compile_dfa(parse_formula("F p", al), al)
+        assert len(dfa.states) == 3
+        with pytest.raises(WeightOverflowError, match="alpha3"):
+            run_episode(grid, dfa, cfg=PlannerConfig(alpha3=165))
+        assert run_episode(grid, dfa, cfg=PlannerConfig(alpha3=164)).satisfied
 
     def test_undeclared_map_label_rejected(self):
         grid = empty_5x5((4, "....P"))

@@ -1,10 +1,17 @@
 """Product graph construction and queries."""
 
+import gc
+import json
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlfrontier.env import ACTIONS, KnownSet, load_map, random_map, sense
+from tlfrontier.planner import run_episode
+from tlfrontier.scltl import TotalDfa
 from tlfrontier.product import (
     ProductGraph,
     ProductState,
@@ -15,7 +22,7 @@ from tlfrontier.product import (
 from tlfrontier.scltl import ObservationSet, compile_dfa, parse_formula
 from tlfrontier.search import path
 
-from helpers import STAY_MAP, two_consecutive_a
+from helpers import STAY_MAP, TWO_A_DFA, two_consecutive_a
 
 L = frozenset
 
@@ -78,7 +85,7 @@ class TestExpand:
         dfa = fp_dfa()
         k = sense(grid, (0, 0), 1, KnownSet())
         g = rooted(grid, dfa, k)
-        assert set(g.nodes) == {ProductState((0, 0), dfa.initial)}
+        assert {g.state(n) for n in g.nodes} == {ProductState((0, 0), dfa.initial)}
         assert g.successors(g.root) == [("stay", g.root)]
         assert not any(g.is_accepting(n) for n in g.nodes)
 
@@ -108,7 +115,7 @@ class TestExpand:
         dfa = fp_dfa()
         k = sense(grid, grid.start, 3, KnownSet())
         g = rooted(grid, dfa, k)
-        assert all(node.cell in k for node in g.nodes)
+        assert all(g.state(node).cell in k for node in g.nodes)
 
 
 class TestAcceptingReachable:
@@ -117,7 +124,7 @@ class TestAcceptingReachable:
         dfa = fp_dfa(("p",))
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        acc = ProductState((1, 0), dfa.step(dfa.initial, L({"p"})))
+        acc = g.node_id(ProductState((1, 0), dfa.step(dfa.initial, L({"p"}))))
         assert g.is_accepting(acc)
         assert acc in g.nodes
         assert accepting_reachable(g)
@@ -136,8 +143,9 @@ class TestAcceptingReachable:
         dfa = compile_dfa(parse_formula("!s U p", al), al)
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        assert grid.move(g.root.cell, "right") == (1, 0)
-        assert dfa.step(g.root.dfa_state, grid.letter_at((1, 0))) == dfa.trash
+        root = g.state(g.root)
+        assert grid.move(root.cell, "right") == (1, 0)
+        assert dfa.step(root.dfa_state, grid.letter_at((1, 0))) == dfa.trash
         assert [a for a, _ in g.successors(g.root)] == ["stay"]
         assert set(g.nodes) == {g.root}
         assert not accepting_reachable(g)
@@ -168,7 +176,7 @@ class TestAcceptingReachable:
             for _ in range(rng.randrange(4)):
                 k = sense(grid, (rng.randrange(12), rng.randrange(12)), 4, k)
             g = rooted(grid, dfa, k)
-            expected = accepting_by_fixpoint(grid, dfa, k, g.root)
+            expected = accepting_by_fixpoint(grid, dfa, k, g.state(g.root))
             assert accepting_reachable(g) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
@@ -180,7 +188,7 @@ class TestAcceptingReachable:
         dfa = compile_dfa(parse_formula("!s U p", al), al)
         k = sense(grid, (0, 0), 3, KnownSet())
         g = rooted(grid, dfa, k)
-        assert not accepting_by_fixpoint(grid, dfa, k, g.root)
+        assert not accepting_by_fixpoint(grid, dfa, k, g.state(g.root))
         assert not accepting_reachable(g)
 
 
@@ -190,7 +198,7 @@ class TestEdgeCache:
 
     @staticmethod
     def assert_same_as_fresh(g, grid, dfa, k):
-        fresh = ProductGraph(grid, dfa, g.root)
+        fresh = ProductGraph(grid, dfa, g.state(g.root))
         expand(fresh, k)
         assert g.nodes == fresh.nodes
         assert g.parents == fresh.parents
@@ -198,8 +206,8 @@ class TestEdgeCache:
         # entries of nodes the search does not reach show too
         for cell in sorted(k.cells):
             for s in dfa.states:
-                node = ProductState(cell, s)
-                assert g.successors(node) == fresh.successors(node), node
+                node = g.node_id(ProductState(cell, s))
+                assert g.successors(node) == fresh.successors(node), g.state(node)
 
     def test_growing_known_set(self):
         dfa = rescue_dfa()
@@ -233,6 +241,22 @@ class TestEdgeCache:
         self.assert_same_as_fresh(g, grid, dfa, other)
 
 
+    def test_dropped_graph_is_freed_at_once(self):
+        # without a reference cycle a graph and its edge cache go as soon as
+        # the last reference does, not at the cycle collector's next pass,
+        # so an episode's graph is not still held while the next one runs
+        grid = random_map(12, 2, seed=4, block=3)
+        g = rooted(grid, rescue_dfa(), sense(grid, grid.start, 3, KnownSet()))
+        assert g.edge_count() > 0
+        gone = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert gone() is None
+        finally:
+            gc.enable()
+
+
 class TestMinWeightPaths:
     def test_source_weight_zero(self):
         grid = corridor()
@@ -248,7 +272,7 @@ class TestMinWeightPaths:
         k = sense(grid, (0, 0), 5, KnownSet())
         g = rooted(grid, dfa, k)
         weights, parents = min_weight_paths(g, g.root)
-        far = ProductState((5, 0), dfa.initial)
+        far = g.node_id(ProductState((5, 0), dfa.initial))
         assert weights[far] == 5
         assert [a for a, _ in path(parents, far)] == ["right"] * 5
 
@@ -258,12 +282,13 @@ class TestMinWeightPaths:
         k = sense(grid, (0, 0), 5, KnownSet())
         g = rooted(grid, dfa, k)
         weights, parents = min_weight_paths(g, g.root)
-        end_states = [n for n in weights if n.cell == (4, 0)]
+        end_states = [n for n in weights if g.state(n).cell == (4, 0)]
         assert len(end_states) == 1
         end = end_states[0]
-        assert end.dfa_state in dfa.accepting
+        assert g.state(end).dfa_state in dfa.accepting
         replay = dfa.step(dfa.initial, grid.letter_at((0, 0)))
         for _, node in path(parents, end):
+            node = g.state(node)
             replay = dfa.step(replay, grid.letter_at(node.cell))
             assert replay == node.dfa_state
 
@@ -287,7 +312,7 @@ class TestMinWeightPaths:
         dfa = two_consecutive_a()
         k = sense(grid, (0, 0), 2, KnownSet())
         g = rooted(grid, dfa, k)
-        goal = ProductState((1, 0), 2)
+        goal = g.node_id(ProductState((1, 0), 2))
         assert accepting_reachable(g)
         hops, parents = min_weight_paths(g, g.root)
         assert hops[goal] == 2
@@ -299,7 +324,7 @@ class TestMinWeightPaths:
         k = sense(grid, (0, 0), 3, KnownSet())
         g = rooted(grid, dfa, k)
         with pytest.raises(ValueError):
-            min_weight_paths(g, ProductState((1, 0), dfa.initial))
+            min_weight_paths(g, g.node_id(ProductState((1, 0), dfa.initial)))
 
     def test_trash_root_reaches_nothing(self):
         grid = load_map("map 3 1\nstart 0 0\nlegend P=p S=s\nSP.\n")
@@ -322,7 +347,7 @@ class TestMinWeightPaths:
         for node in weights:
             assert not g.is_trash(node)
         # the p cell lies beyond the s cell, so it is unreachable safely
-        assert not any(n.cell == (4, 0) for n in weights)
+        assert not any(g.state(n).cell == (4, 0) for n in weights)
 
 
 class TestWordConsistency:
@@ -336,10 +361,63 @@ class TestWordConsistency:
             k = sense(grid, (6, 6), 4, k)
             root = ProductState(grid.start, dfa.step(dfa.initial, grid.letter_at(grid.start)))
             g = expand(ProductGraph(grid, dfa, root), k)
-            weights, parents = min_weight_paths(g, root)
+            weights, parents = min_weight_paths(g, g.node_id(root))
             targets = rng.sample(sorted(weights), min(20, len(weights)))
             for node in targets:
                 replay = root.dfa_state
                 for _, step_node in path(parents, node):
-                    replay = dfa.step(replay, grid.letter_at(step_node.cell))
-                assert replay == node.dfa_state
+                    replay = dfa.step(replay, grid.letter_at(g.state(step_node).cell))
+                assert replay == g.state(node).dfa_state
+
+
+def empty_grid(width, height):
+    return load_map(f"map {width} {height}\nstart 0 0\nlegend A=a\n" + ("." * width + "\n") * height)
+
+
+def relabeled(dfa_doc: dict, ids: dict) -> TotalDfa:
+    """The automaton of `dfa_doc` with every state id `s` renamed `ids[s]`."""
+    doc = dict(dfa_doc)
+    doc["states"] = [ids[s] for s in doc["states"]]
+    doc["initial"], doc["trash"] = ids[doc["initial"]], ids[doc["trash"]]
+    doc["accepting"] = [ids[s] for s in doc["accepting"]]
+    doc["transitions"] = [dict(e, **{"from": ids[e["from"]], "to": ids[e["to"]]}) for e in doc["transitions"]]
+    return TotalDfa.from_json_dict(doc)
+
+
+class TestNodeIds:
+    """Node ids stand for `ProductState`s one to one, in the same order."""
+
+    @staticmethod
+    def assert_ids_match_states(grid, dfa):
+        g = ProductGraph(grid, dfa, ProductState(grid.start, dfa.initial))
+        states = [ProductState(cell, s) for cell in grid.cells() for s in dfa.states]
+        ids = [g.node_id(state) for state in states]
+        assert [g.state(node) for node in ids] == states
+        assert sorted(ids) == list(range(len(states)))
+        assert [g.state(node) for node in sorted(ids)] == sorted(states)
+        for cell in grid.cells():
+            assert [g.state(n) for n in g.cell_nodes(cell)] == [ProductState(cell, s) for s in sorted(dfa.states)]
+
+    @pytest.mark.parametrize("width,height", [(7, 3), (3, 7), (1, 5), (5, 1)])
+    def test_non_square_grids(self, width, height):
+        self.assert_ids_match_states(empty_grid(width, height), two_consecutive_a())
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.permutations([3, 10, 41, 7]))
+    @settings(max_examples=40, deadline=None)
+    def test_state_ids_that_are_not_a_range(self, width, height, new_ids):
+        doc = json.loads(TWO_A_DFA.read_text())
+        dfa = relabeled(doc, dict(zip(doc["states"], new_ids)))
+        self.assert_ids_match_states(empty_grid(width, height), dfa)
+
+    @pytest.mark.parametrize("new_ids", [[10, 20, 30, 40], [40, 30, 20, 10], [7, 3, 41, 10]])
+    def test_episode_does_not_depend_on_state_names(self, new_ids):
+        # the Stay fixture needs the non-trivial Stay edge; renaming the
+        # automaton's states changes neither the moves nor the verdict
+        grid = load_map(STAY_MAP.read_text())
+        doc = json.loads(TWO_A_DFA.read_text())
+        ids = dict(zip(doc["states"], new_ids))
+        plain, renamed = run_episode(grid, two_consecutive_a()), run_episode(grid, relabeled(doc, ids))
+        assert renamed.satisfied and renamed.actions == plain.actions == ["right", "stay"]
+        assert [e["dfa"] for e in renamed.diagnostics["trace"]] == [
+            ids[e["dfa"]] for e in plain.diagnostics["trace"]
+        ]
