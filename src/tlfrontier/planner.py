@@ -23,13 +23,16 @@ Trajectories ending in trash score minus infinity and are never selected;
 ending in a commit state scores negative, so committing progress is taken
 only when no safer frontier remains. The score is divided by `w ** alpha3`
 whatever its sign, so among frontiers that can only end in a commit state
-the farther one scores higher (its negative value is nearer zero). An
-`alpha3` so large that `w ** alpha3` could overflow a float on the map is
-rejected before the episode starts (`WeightOverflowError`).
+the farther one scores higher (its negative value is nearer zero).
+Weights that break this order on the map are rejected before the episode
+starts (`WeightOverflowError`): an `alpha3` so large that `w ** alpha3`
+could overflow a float, an `alpha1` or `alpha2` whose score numerator
+overflows, or a ratio that makes the commit penalty infinite or zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,8 +54,9 @@ class StepLimitError(RuntimeError):
 
 
 class WeightOverflowError(ValueError):
-    """`alpha3` is so large that a hop weight `w ** alpha3` overflows a float
-    on this map."""
+    """The weighting factors do not fit a float on this map: a hop weight
+    `w ** alpha3` or a score numerator overflows, or the commit penalty
+    `-(alpha1 * size) / alpha2` is not a finite negative number."""
 
 
 @dataclass(frozen=True)
@@ -155,12 +159,21 @@ class _Episode:
             raise AlphabetError(
                 f"map labels {sorted(undeclared)} missing from the automaton alphabet"
             )
+        size = grid.size()
         try:  # no trajectory has more hops than the product has nodes
-            float(grid.size() * len(dfa.states)) ** cfg.alpha3
+            float(size * len(dfa.states)) ** cfg.alpha3
         except OverflowError:
             raise WeightOverflowError(
-                f"alpha3 = {cfg.alpha3:g} overflows the hop weight on a map of {grid.size()} cells"
+                f"alpha3 = {cfg.alpha3:g} overflows the hop weight on a map of {size} cells"
             ) from None
+        # gains are at most `size`, pruned-hop progress at most the state count
+        penalty = -(cfg.alpha1 * size) / cfg.alpha2
+        numerator = cfg.alpha1 * size + cfg.alpha2 * len(dfa.states)
+        if not (-math.inf < penalty < 0 and numerator < math.inf):
+            raise WeightOverflowError(
+                f"alpha1 = {cfg.alpha1:g} and alpha2 = {cfg.alpha2:g} put the commit penalty "
+                f"or a frontier score out of float range on a map of {size} cells"
+            )
         self.grid = grid
         self.dfa = dfa
         self.cfg = cfg

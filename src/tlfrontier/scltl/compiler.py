@@ -1,9 +1,12 @@
 """Formula-to-automaton compilation.
 
 States of the raw automaton are canonically simplified progressed formulas:
-the formula itself is initial, TOP is accepting, BOTTOM is the sink. The
-raw automaton is then minimized (Hopcroft) and every state that cannot
-reach acceptance is collapsed into a single absorbing trash state.
+the formula itself is initial, TOP is accepting, BOTTOM is the sink. They
+are numbered in breadth-first discovery order, letters in canonical order.
+The raw automaton is then minimized by Moore partition refinement, and
+every state that cannot reach acceptance falls into one absorbing trash
+state. Live states keep the breadth-first order of their first raw member,
+so state 0 is initial and trash is the last id.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ def compile_dfa(phi: Formula, alphabet: ObservationSet = None, max_states: int =
     # 1. progression closure
     root = canonical(phi)
     index = {root: 0}
-    order = [root]
     delta = {}  # (state, letter) -> state
     queue = deque([root])
     while queue:
@@ -46,114 +48,59 @@ def compile_dfa(phi: Formula, alphabet: ObservationSet = None, max_states: int =
                     raise StateLimitError(
                         f"more than {max_states} states; the formula is too large"
                     )
-                index[g] = len(order)
-                order.append(g)
+                index[g] = len(index)
                 queue.append(g)
             delta[(src, l)] = index[g]
     accepting = {index[TOP]} if TOP in index else set()
 
-    # 2. minimize, 3. collapse dead classes into one absorbing trash state
-    n = len(order)
-    partition = _hopcroft(n, letters, delta, accepting)
-    return _quotient(n, letters, delta, accepting, partition, alphabet)
+    # 2. minimize; dead states become the trash state
+    return _minimize(len(index), letters, delta, accepting, alphabet)
 
 
-def _hopcroft(n: int, letters: list, delta: dict, accepting: set) -> list:
-    """Partition states 0..n-1 into language-equivalence classes."""
-    preds = {(s, l): set() for s in range(n) for l in letters}
-    for (s, l), t in delta.items():
-        preds[(t, l)].add(s)
+def _minimize(n: int, letters: list, delta: dict, accepting: set, alphabet) -> TotalDfa:
+    """Moore partition refinement of raw states 0..n-1, then the quotient.
 
-    all_states = frozenset(range(n))
-    acc = frozenset(accepting)
-    non_acc = all_states - acc
-    partition = {b for b in (acc, non_acc) if b}
-    work = set()
-    if acc and non_acc:
-        work.add(acc if len(acc) <= len(non_acc) else non_acc)
+    Refinement starts from three blocks: accepting, live non-accepting and
+    dead (acceptance unreachable). Each round renames every state, in
+    raw-state order, by its block and the blocks of its successors in
+    canonical letter order, until the block count stops growing. Dead
+    states only reach dead states, so they never split: that block is the
+    trash. Live blocks are numbered by their smallest raw state, trash
+    last; the closure numbers raw states breadth-first, so live ids are the
+    breadth-first discovery order of the quotient.
+    """
+    preds = [set() for _ in range(n)]
+    for (s, _), t in delta.items():
+        preds[t].add(s)
+    live, _ = bfs(accepting, lambda t: ((None, s) for s in preds[t]))
+    block = [2 if s in accepting else 1 if s in live else 0 for s in range(n)]
+    count = len(set(block))
+    while True:
+        names = {}
+        block = [
+            names.setdefault((block[s], *(block[delta[(s, l)]] for l in letters)), len(names))
+            for s in range(n)
+        ]
+        if len(names) == count:
+            break
+        count = len(names)
 
-    while work:
-        splitter = work.pop()
-        for l in letters:
-            pre = set()
-            for t in splitter:
-                pre |= preds[(t, l)]
-            if not pre:
-                continue
-            for block in list(partition):
-                inside = block & pre
-                outside = block - pre
-                if not inside or not outside:
-                    continue
-                partition.remove(block)
-                partition.add(frozenset(inside))
-                partition.add(frozenset(outside))
-                if block in work:
-                    work.remove(block)
-                    work.add(frozenset(inside))
-                    work.add(frozenset(outside))
-                else:
-                    # queue the smaller half; keeps the refinement near n log n
-                    work.add(frozenset(inside if len(inside) <= len(outside) else outside))
-    return sorted(partition, key=min)
-
-
-def _quotient(n, letters, delta, accepting, partition, alphabet) -> TotalDfa:
-    block_of = {}
-    for b, block in enumerate(partition):
-        for s in block:
-            block_of[s] = b
-    n_blocks = len(partition)
-    rep = {b: min(block) for b, block in enumerate(partition)}
-    qdelta = {
-        (b, l): block_of[delta[(rep[b], l)]] for b in range(n_blocks) for l in letters
+    ids = {}  # live block -> state id
+    reps = []  # state id -> the block's first raw state
+    for s in range(n):
+        if s in live and block[s] not in ids:
+            ids[block[s]] = len(reps)
+            reps.append(s)
+    trash = len(reps)
+    transitions = {
+        (q, l): ids.get(block[delta[(s, l)]], trash) for q, s in enumerate(reps) for l in letters
     }
-    qacc = {block_of[s] for s in accepting}
-    qinit = block_of[0]
-
-    # live = classes from which acceptance is reachable
-    preds = {b: set() for b in range(n_blocks)}
-    for (b, l), t in qdelta.items():
-        preds[t].add(b)
-    live, _ = bfs(qacc, lambda t: ((None, s) for s in preds[t]))
-
-    if not qacc or qinit not in live:
-        # empty language: a single absorbing trash state is the whole automaton
-        transitions = {(0, l): 0 for l in letters}
-        return TotalDfa(
-            states=(0,),
-            initial=0,
-            alphabet=alphabet,
-            transitions=transitions,
-            accepting=frozenset(),
-            trash=0,
-        )
-
-    # renumber live classes by breadth-first discovery; trash comes last
-    numbering = {qinit: 0}
-    queue = deque([qinit])
-    while queue:
-        b = queue.popleft()
-        for l in letters:
-            t = qdelta[(b, l)]
-            if t in live and t not in numbering:
-                numbering[t] = len(numbering)
-                queue.append(t)
-    trash_id = len(numbering)
-
-    transitions = {}
-    for b, sid in numbering.items():
-        for l in letters:
-            t = qdelta[(b, l)]
-            transitions[(sid, l)] = numbering[t] if t in live else trash_id
-    for l in letters:
-        transitions[(trash_id, l)] = trash_id
-
+    transitions.update(((trash, l), trash) for l in letters)
     return TotalDfa(
-        states=tuple(range(trash_id + 1)),
+        states=tuple(range(trash + 1)),
         initial=0,
         alphabet=alphabet,
         transitions=transitions,
-        accepting=frozenset(numbering[b] for b in qacc),
-        trash=trash_id,
+        accepting=frozenset(ids[block[s]] for s in accepting),
+        trash=trash,
     )

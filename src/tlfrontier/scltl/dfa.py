@@ -42,6 +42,9 @@ class TotalDfa:
             raise DfaError("trash state cannot be accepting")
         if not self.accepting <= states:
             raise DfaError("accepting set contains unknown states")
+        # counted before 2^|O| letters are built: a wide alphabet cannot pass
+        if len(self.transitions) != len(states) * 2 ** len(self.alphabet):
+            raise DfaError("transition function is not total over states x 2^O")
         letters = self.alphabet.letters()
         expected = {(s, l) for s in states for l in letters}
         if set(self.transitions) != expected:

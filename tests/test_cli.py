@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -288,6 +289,9 @@ RESCUE_MAP = str(MAPS_DIR / "rescue.map")
         ["run", "--map", RESCUE_MAP, "--formula", "F s", "--alpha3", "400"],
         ["render", "--map", RESCUE_MAP, "--formula", "F s", "--alpha3", "1e10"],
         ["bench", "--size", "10", "--n-maps", "1", "--alpha3", "400"],
+        ["run", "--map", RESCUE_MAP, "--formula", "F s", "--alpha1", "1e308"],
+        ["render", "--map", RESCUE_MAP, "--formula", "F s", "--alpha2", "1e-308"],
+        ["bench", "--size", "10", "--n-maps", "1", "--alpha1", "5e-324", "--alpha2", "1e300"],
     ],
     ids=[
         "run-h-0",
@@ -304,6 +308,9 @@ RESCUE_MAP = str(MAPS_DIR / "rescue.map")
         "run-alpha3-400",
         "render-alpha3-1e10",
         "bench-alpha3-400",
+        "run-alpha1-1e308",
+        "render-alpha2-1e-308",
+        "bench-alpha1-5e-324-alpha2-1e300",
     ],
 )
 def test_bad_input_is_exit_2_without_traceback(capsys, argv):
@@ -312,3 +319,21 @@ def test_bad_input_is_exit_2_without_traceback(capsys, argv):
     assert err.startswith("error:")
     assert "Traceback" not in err
 
+
+def test_automaton_file_with_40_names_is_rejected_at_once(tmp_path, capsys):
+    # 2^40 letters cannot be enumerated; the transition count gives the file away
+    doc = {
+        "alphabet": [f"o{i}" for i in range(40)],
+        "states": [0],
+        "initial": 0,
+        "accepting": [],
+        "trash": 0,
+        "transitions": [{"from": 0, "letter": [], "to": 0}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "run", "--map", RESCUE_MAP, "--dfa", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "not total" in err

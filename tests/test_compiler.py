@@ -1,9 +1,14 @@
 """Automaton compilation, checked against the progression oracle."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from tlfrontier.bench import PHI1
+from tlfrontier.commit import commit_states
 from tlfrontier.scltl import (
     BOTTOM,
     TOP,
@@ -13,11 +18,20 @@ from tlfrontier.scltl import (
     is_good_prefix,
     parse_formula,
     progress,
+    pruned_distances,
 )
 
 from helpers import random_formula, random_word
 
 L = frozenset
+
+COMPILE_WIDE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "compile_wide.json"
+
+# sha256 of `compiled_outputs()`, recorded before the minimisation was
+# rewritten. Witness words follow state ids, so a change to it is a change
+# of the automata, their numbering or their commit reports, which must be
+# explained.
+RECORDED_COMPILE_DIGEST = "af19ad669ff572f2a25e0bc5219ddab4917a1f38897bc9ff21e423ba856d7721"
 
 
 def phi0_dfa(abc):
@@ -190,3 +204,55 @@ class TestGoodPrefixClosure:
                         seen.add(t)
                         stack.append(t)
             assert set(dfa.live_states()) <= seen
+
+
+class TestNumbering:
+    def test_live_ids_are_breadth_first_discovery_order(self, abc):
+        """State 0 is initial; every later live id is the next state found
+        breadth-first, letters in canonical order; trash is the last id."""
+        rng = random.Random(13)
+        for _ in range(120):
+            phi = random_formula(rng, ["a", "b", "c"], depth=4)
+            dfa = compile_dfa(phi, abc)
+            assert dfa.initial == 0
+            assert dfa.trash == len(dfa.states) - 1
+            order = [] if dfa.initial == dfa.trash else [dfa.initial]
+            for s in order:  # grows while it is read: a breadth-first queue
+                for l in abc.letters():
+                    t = dfa.step(s, l)
+                    if t != dfa.trash and t not in order:
+                        order.append(t)
+            assert order == dfa.live_states(), str(phi)
+
+
+def compiled_outputs() -> str:
+    """Automaton, commit report and pruned distances, one JSON line per
+    formula: the four-atom formulas of the `compile_wide` pool, PHI1 and 40
+    seeded random formulas."""
+    texts = [
+        (item["formula"], ObservationSet(item["atoms"]))
+        for item in json.loads(COMPILE_WIDE.read_text())["items"]
+        if len(item["atoms"]) == 4
+    ]
+    texts.append((PHI1, ObservationSet(["l", "p", "s"])))
+    cases = [(parse_formula(text, alphabet), alphabet) for text, alphabet in texts]
+    abc = ObservationSet(["a", "b", "c"])
+    rng = random.Random(8)
+    cases += [(random_formula(rng, ["a", "b", "c"], depth=4), abc) for _ in range(40)]
+    lines = []
+    for phi, alphabet in cases:
+        dfa = compile_dfa(phi, alphabet)
+        d = pruned_distances(dfa)
+        record = {
+            "dfa": dfa.to_json_dict(),
+            "commits": commit_states(dfa).to_json_dict(),
+            "distances": [d[s] for s in dfa.states],
+        }
+        lines.append(json.dumps(record, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def test_compiled_outputs_match_recorded_digest():
+    outputs = compiled_outputs()
+    assert len(outputs.splitlines()) == 62 + 1 + 40
+    assert hashlib.sha256(outputs.encode()).hexdigest() == RECORDED_COMPILE_DIGEST

@@ -1,9 +1,11 @@
-"""Input boundaries under random input: map text and automaton JSON fail
-only with their documented errors, and the CLI turns every bad map into
-exit code 2."""
+"""Input boundaries under random input: map text, formula text and
+automaton JSON fail only with their documented errors, and the CLI turns
+every bad map and every bad formula into exit code 2."""
 
+import io
 import json
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 
 from tlfrontier.cli import main
 from tlfrontier.env import MapFormatError, format_map, load_map
-from tlfrontier.scltl import AlphabetError, DfaError, TotalDfa
+from tlfrontier.scltl import AlphabetError, DfaError, ObservationSet, ParseError, TotalDfa, parse_formula
 
-from helpers import TWO_A_DFA
+from helpers import MAPS_DIR, TWO_A_DFA
 
 MAP_TOKENS = [
     "map", "start", "legend", " ", "\n", "\r", "\t", "0", "1", "2", "3", "-1", "x",
@@ -110,3 +112,53 @@ def test_dfa_from_json_raises_only_documented_errors(doc):
     except (DfaError, AlphabetError):
         return
     assert TotalDfa.from_json_dict(dfa.to_json_dict()).to_json_dict() == dfa.to_json_dict()
+
+
+FORMULA_TOKENS = [
+    "l", "p", "s", "q", "true", "false", "l0", "F", "U", "!", "&", "|", "(", ")", "X", "G",
+    " ", "\n", "\t", "L", "0", "_", "->", "é", "\x00", "FF", "!(", "!true", "F(", "U U",
+]
+
+
+@st.composite
+def deep_formulas(draw):
+    """Nesting near the parser's depth bound, by parentheses, `F` or `U`."""
+    n = draw(st.integers(90, 110))
+    shape = draw(st.sampled_from(["paren", "eventually", "until"]))
+    if shape == "paren":
+        return "(" * n + "l" + ")" * draw(st.sampled_from([n, n - 1]))
+    if shape == "eventually":
+        return "F " * n + draw(st.sampled_from(["p", ""]))
+    return " U ".join(["l"] * n)
+
+
+formula_texts = st.one_of(
+    st.text(), st.lists(st.sampled_from(FORMULA_TOKENS)).map("".join), deep_formulas()
+)
+RESCUE_ATOMS = ObservationSet(["l", "p", "s"])
+
+
+def parses(text) -> bool:
+    try:
+        parse_formula(text, RESCUE_ATOMS)
+    except ParseError:
+        return False
+    return True
+
+
+@given(formula_texts)
+@settings(max_examples=400, deadline=None)
+def test_parse_formula_raises_only_parse_error(text):
+    parses(text)  # any other exception fails the test; nothing is compiled
+
+
+@given(formula_texts)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exits_2_on_every_bad_formula(text):
+    if parses(text):
+        return  # a valid formula would be compiled and run
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["run", "--map", str(MAPS_DIR / "rescue.map"), f"--formula={text}"])
+    assert code == 2
+    assert err.getvalue().startswith("error:")

@@ -246,6 +246,26 @@ class TestRunEpisode:
             run_episode(grid, dfa, cfg=PlannerConfig(alpha3=165))
         assert run_episode(grid, dfa, cfg=PlannerConfig(alpha3=164)).satisfied
 
+    @pytest.mark.parametrize(
+        "alpha1, alpha2",
+        # an infinite penalty, an infinite penalty, a penalty of -0.0, and a
+        # finite penalty with a numerator that overflows
+        [(1e308, 20.0), (1.0, 1e-308), (5e-324, 1e300), (1e300, 1e308)],
+    )
+    def test_alpha1_alpha2_that_break_the_commit_penalty_are_rejected(self, alpha1, alpha2):
+        grid = empty_5x5((4, "....P"))
+        al = grid.alphabet
+        dfa = compile_dfa(parse_formula("F p", al), al)
+        with pytest.raises(WeightOverflowError, match="alpha1"):
+            run_episode(grid, dfa, cfg=PlannerConfig(alpha1=alpha1, alpha2=alpha2))
+
+    def test_extreme_alpha1_alpha2_that_fit_are_accepted(self):
+        # 25 cells x 3 states: 25 + 1e307 * 3 and -25 / 1e307 are finite and nonzero
+        grid = empty_5x5((4, "....P"))
+        al = grid.alphabet
+        dfa = compile_dfa(parse_formula("F p", al), al)
+        assert run_episode(grid, dfa, cfg=PlannerConfig(alpha2=1e307)).satisfied
+
     def test_undeclared_map_label_rejected(self):
         grid = empty_5x5((4, "....P"))
         al = ObservationSet(["q"])
