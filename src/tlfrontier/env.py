@@ -262,7 +262,9 @@ def _diamond(grid: GridMap, x: Cell, h: int) -> set:
     """Cells within h undirected hops of x (a clipped Manhattan diamond)."""
     c0, r0 = x
     w, hh = grid.width, grid.height
-    return {(c0 + dc, r0 + dr) for dc, dr in _ball(h) if 0 <= c0 + dc < w and 0 <= r0 + dr < hh}
+    # no radius past the grid's largest Manhattan distance reaches more cells
+    ball = _ball(min(h, w + hh - 2))
+    return {(c0 + dc, r0 + dr) for dc, dr in ball if 0 <= c0 + dc < w and 0 <= r0 + dr < hh}
 
 
 def sense(grid: GridMap, x: Cell, h: int, k: KnownSet) -> KnownSet:
@@ -292,7 +294,7 @@ def sense(grid: GridMap, x: Cell, h: int, k: KnownSet) -> KnownSet:
             cells.discard(cell)
     gains = {cell: gain for cell, gain in old.gains.items() if cell in cells}
     if gains:
-        ball = _ball(old.gain_h)
+        ball = _ball(min(old.gain_h, grid.width + grid.height - 2))
         for c, r in new:
             for dc, dr in ball:
                 near = (c + dc, r + dr)

@@ -4,6 +4,14 @@ The AST mirrors the fragment's grammar: negation is only available on
 observations, and the temporal operators are until and eventually.
 `progress` implements one-step formula progression, which doubles as the
 semantic oracle the automaton compiler is validated against.
+
+Boolean structure is kept as a set of sets: `And` and `Or` are n-ary over
+frozensets. A canonical formula (what `conj`, `disj`, `canonical`,
+`progress` and the parser return) is TOP, BOTTOM, one term, or an `Or` of
+two or more terms, none a subset of another. A term is one node that is
+not `And`, `Or`, TOP or BOTTOM, or an `And` of two or more such nodes.
+Equality is therefore set equality, whatever order the sets iterate in;
+only printing sorts, by the parts' text.
 """
 
 from __future__ import annotations
@@ -46,14 +54,12 @@ class NegObs(Formula):
 
 @dataclass(frozen=True)
 class And(Formula):
-    lhs: Formula
-    rhs: Formula
+    parts: frozenset
 
 
 @dataclass(frozen=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    parts: frozenset
 
 
 @dataclass(frozen=True)
@@ -81,10 +87,10 @@ def _fmt(phi: Formula, parent_prec: int) -> str:
             s, p = name, 4
         case NegObs(name):
             s, p = f"!{name}", 4
-        case And(l, r):
-            s, p = f"{_fmt(l, 2)} & {_fmt(r, 2)}", 2
-        case Or(l, r):
-            s, p = f"{_fmt(l, 1)} | {_fmt(r, 1)}", 1
+        case And(parts):
+            s, p = " & ".join(sorted(_fmt(x, 2) for x in parts)), 2
+        case Or(parts):
+            s, p = " | ".join(sorted(_fmt(x, 1) for x in parts)), 1
         case Until(l, r):
             # right-associative: parenthesize a left-nested until
             s, p = f"{_fmt(l, 4)} U {_fmt(r, 3)}", 3
@@ -97,59 +103,42 @@ def _fmt(phi: Formula, parent_prec: int) -> str:
     return s
 
 
-def _flatten(phi: Formula, op: type) -> list:
-    if isinstance(phi, op):
-        return _flatten(phi.lhs, op) + _flatten(phi.rhs, op)
-    return [phi]
-
-
 def _dnf_terms(phi: Formula) -> frozenset:
-    """A formula as a set of conjunctive terms (sets of non-and/or nodes)."""
-    if phi == BOTTOM:
+    """A canonical formula as a set of conjunctive terms (sets of nodes)."""
+    if isinstance(phi, Bottom):
         return frozenset()
-    if phi == TOP:
+    if isinstance(phi, Top):
         return frozenset({frozenset()})
-    return frozenset(
-        frozenset(_flatten(d, And)) for d in _flatten(phi, Or)
-    )
-
-
-def _subsume(terms) -> list:
-    """Drop every term that is a superset of another (x | (x & y) == x)."""
-    kept = []
-    for t in sorted(terms, key=lambda t: (len(t), sorted(map(str, t)))):
-        if not any(k <= t for k in kept):
-            kept.append(t)
-    return kept
+    terms = phi.parts if isinstance(phi, Or) else (phi,)
+    return frozenset(t.parts if isinstance(t, And) else frozenset({t}) for t in terms)
 
 
 def _from_terms(terms) -> Formula:
-    if not terms:
+    """The canonical formula of a set of terms, every term that is a
+    superset of another dropped (x | (x & y) == x)."""
+    kept = []
+    # a term can only be subsumed by a shorter one: equal-length distinct
+    # sets are never subsets of each other
+    for t in sorted(terms, key=len):
+        if not any(k <= t for k in kept):
+            kept.append(t)
+    if not kept:
         return BOTTOM
-    if any(not t for t in terms):
+    if not kept[0]:
         return TOP
-    factors = []
-    for t in terms:
-        parts = sorted(t, key=str)
-        node = parts[-1]
-        for p in reversed(parts[:-1]):
-            node = And(p, node)
-        factors.append(node)
-    factors.sort(key=str)
-    node = factors[-1]
-    for f in reversed(factors[:-1]):
-        node = Or(f, node)
-    return node
+    nodes = [And(t) if len(t) > 1 else next(iter(t)) for t in kept]
+    return Or(frozenset(nodes)) if len(nodes) > 1 else nodes[0]
 
 
 def conj(*parts: Formula) -> Formula:
     """Canonical conjunction.
 
-    Boolean structure is kept in disjunctive normal form with subsumed
-    terms removed and operands sorted; this generalizes the usual unit,
-    idempotence, and absorption rules and, crucially, gives the
-    progression closure finitely many distinct states (each one is an
-    antichain over the original temporal subformulas).
+    Boolean structure is kept in disjunctive normal form, a set of terms
+    each a set of nodes, with subsumed terms removed; this generalizes the
+    usual unit, idempotence, associativity, commutativity and absorption
+    rules and, crucially, gives the progression closure finitely many
+    distinct states (each one is an antichain over the original temporal
+    subformulas).
     """
     terms = {frozenset()}
     for p in parts:
@@ -157,7 +146,7 @@ def conj(*parts: Formula) -> Formula:
         terms = {a | b for a in terms for b in pt}
         if not terms:
             return BOTTOM
-    return _from_terms(_subsume(terms))
+    return _from_terms(terms)
 
 
 def disj(*parts: Formula) -> Formula:
@@ -165,7 +154,7 @@ def disj(*parts: Formula) -> Formula:
     terms = set()
     for p in parts:
         terms |= _dnf_terms(p)
-    return _from_terms(_subsume(terms))
+    return _from_terms(terms)
 
 
 def canonical(phi: Formula) -> Formula:
@@ -174,10 +163,10 @@ def canonical(phi: Formula) -> Formula:
     match phi:
         case Top() | Bottom() | Obs(_) | NegObs(_):
             return phi
-        case And(l, r):
-            return conj(canonical(l), canonical(r))
-        case Or(l, r):
-            return disj(canonical(l), canonical(r))
+        case And(parts):
+            return conj(*map(canonical, parts))
+        case Or(parts):
+            return disj(*map(canonical, parts))
         case Until(l, r):
             return Until(canonical(l), canonical(r))
         case Eventually(sub):
@@ -193,7 +182,9 @@ def atoms(phi: Formula) -> frozenset:
             return frozenset()
         case Obs(name) | NegObs(name):
             return frozenset({name})
-        case And(l, r) | Or(l, r) | Until(l, r):
+        case And(parts) | Or(parts):
+            return frozenset().union(*map(atoms, parts))
+        case Until(l, r):
             return atoms(l) | atoms(r)
         case Eventually(sub):
             return atoms(sub)
@@ -215,10 +206,10 @@ def progress(phi: Formula, l: Letter) -> Formula:
             return TOP if name in l else BOTTOM
         case NegObs(name):
             return BOTTOM if name in l else TOP
-        case And(a, b):
-            return conj(progress(a, l), progress(b, l))
-        case Or(a, b):
-            return disj(progress(a, l), progress(b, l))
+        case And(parts):
+            return conj(*(progress(x, l) for x in parts))
+        case Or(parts):
+            return disj(*(progress(x, l) for x in parts))
         case Until(a, b):
             return disj(progress(b, l), conj(progress(a, l), phi))
         case Eventually(sub):

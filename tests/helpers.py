@@ -8,10 +8,14 @@ from pathlib import Path
 
 from tlfrontier.scltl import (
     TOP,
+    And,
+    Bottom,
     Eventually,
     NegObs,
     Obs,
     ObservationSet,
+    Or,
+    Top,
     TotalDfa,
     Until,
     conj,
@@ -52,6 +56,42 @@ def random_formula(rng: random.Random, names, depth: int):
     if kind == "until":
         return Until(lhs, rhs)
     return Eventually(lhs)
+
+
+def holds(phi, word, i: int = 0) -> bool:
+    """Strong finite semantics of `phi` on `word` from position `i`, read
+    off the syntax tree alone: a literal needs a letter at `i`, and `U` /
+    `F` need their witness inside the word. Progression, `conj` and `disj`
+    are not used, so this is an independent oracle for them."""
+    match phi:
+        case Top():
+            return True
+        case Bottom():
+            return False
+        case Obs(name):
+            return i < len(word) and name in word[i]
+        case NegObs(name):
+            return i < len(word) and name not in word[i]
+        case And(parts):
+            return all(holds(x, word, i) for x in parts)
+        case Or(parts):
+            return any(holds(x, word, i) for x in parts)
+        case Until(lhs, rhs):
+            for j in range(i, len(word)):
+                if holds(rhs, word, j):
+                    return True
+                if not holds(lhs, word, j):
+                    return False
+            return False
+        case Eventually(sub):
+            return any(holds(sub, word, j) for j in range(i, len(word)))
+    raise TypeError(f"unknown node: {phi!r}")
+
+
+def some_prefix_holds(phi, word) -> bool:
+    """True iff some prefix of `word` (the empty one included) satisfies
+    `phi` under `holds`: the good-prefix verdict, without progression."""
+    return any(holds(phi, word[:n]) for n in range(len(word) + 1))
 
 
 def random_word(rng: random.Random, names, max_len: int):

@@ -89,6 +89,13 @@ class TestRun:
         assert code == 0
         assert json.loads(out.splitlines()[-1])["verdict"] == "satisfied"
 
+    def test_huge_sensing_radius_runs_like_one_covering_the_map(self, capsys):
+        rescue = str(MAPS_DIR / "rescue.map")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "run", "--map", rescue, "--formula", RESCUE, "--h", "1000000000")
+        assert time.perf_counter() - start < 10
+        assert (code, out) == run_cli(capsys, "run", "--map", rescue, "--formula", RESCUE, "--h", "38")[:2]
+
     def test_baseline_unsatisfiable_exit_one(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from tlfrontier.commit import commit_states
 from tlfrontier.scltl import (
     BOTTOM,
     TOP,
+    Formula,
     ObservationSet,
     StateLimitError,
     compile_dfa,
@@ -20,8 +24,9 @@ from tlfrontier.scltl import (
     progress,
     pruned_distances,
 )
+from tlfrontier.scltl import formula
 
-from helpers import random_formula, random_word
+from helpers import holds, random_formula, random_word, some_prefix_holds
 
 L = frozenset
 
@@ -118,6 +123,27 @@ class TestOracleAgreement:
                     f"disagreement on {phi} with {[sorted(l) for l in word]}"
                 )
                 pairs += 1
+
+    def test_strong_finite_semantics_oracle(self, abc):
+        phi = parse_formula("!b U a", abc)
+        assert holds(phi, [L(), L({"a"})])
+        assert not holds(phi, [L(), L()])  # no witness inside the word
+        assert not holds(phi, [L({"b"}), L({"a"})])
+        assert not holds(parse_formula("F true", abc), [])
+        assert some_prefix_holds(phi, [L({"a"}), L({"b"})])
+
+    def test_random_formulas_agree_with_strong_finite_semantics(self, abc):
+        """Progression and the automaton both agree with an evaluator that
+        shares no code with `progress`, `conj` or `disj`."""
+        rng = random.Random(31)
+        for _ in range(300):
+            phi = random_formula(rng, ["a", "b", "c"], depth=4)
+            dfa = compile_dfa(phi, abc)
+            for _ in range(10):
+                word = random_word(rng, ["a", "b", "c"], 7)
+                expected = some_prefix_holds(phi, word)
+                assert is_good_prefix(phi, word) == expected, (phi, word)
+                assert dfa.accepts(word) == expected, (phi, word)
 
     def test_trash_soundness(self):
         """Trash means no extension can become a good prefix.
@@ -256,3 +282,33 @@ def test_compiled_outputs_match_recorded_digest():
     outputs = compiled_outputs()
     assert len(outputs.splitlines()) == 62 + 1 + 40
     assert hashlib.sha256(outputs.encode()).hexdigest() == RECORDED_COMPILE_DIGEST
+
+
+def test_compiling_never_prints_a_formula(monkeypatch):
+    """Canonical formulas are sets, so nothing on the compile path orders
+    them by their text."""
+
+    def no_text(*_):
+        raise AssertionError("a formula was printed while compiling")
+
+    monkeypatch.setattr(Formula, "__str__", no_text)
+    monkeypatch.setattr(formula, "_fmt", no_text)
+    outputs = compiled_outputs()
+    assert hashlib.sha256(outputs.encode()).hexdigest() == RECORDED_COMPILE_DIGEST
+
+
+def test_compiled_outputs_do_not_depend_on_the_hash_seed():
+    """Canonical nodes iterate sets, whose order follows string hashes."""
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    path = os.pathsep.join([str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH", "")])
+    script = (
+        "import hashlib; from test_compiler import compiled_outputs; "
+        "print(hashlib.sha256(compiled_outputs().encode()).hexdigest())"
+    )
+    for seed in ("1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert out.stdout.strip() == RECORDED_COMPILE_DIGEST, seed

@@ -254,6 +254,20 @@ class TestFrontierLayer:
         assert k.layer.gain_h == 2
         assert_layer_matches_scan(grid, k)
 
+    def test_radius_beyond_the_grid_equals_the_clamp(self):
+        # 38 is the largest Manhattan distance on a 20x20 grid
+        runs = []
+        grid = big_empty()
+        for h in (10**9, 38):
+            k = sense(grid, (0, 0), 2, KnownSet())
+            gains = {x: info_gain(grid, x, h, k) for x in sorted(frontiers(grid, k))}
+            k = sense(grid, (3, 0), 2, k)  # drops each cached gain over radius h
+            assert k.layer.gain_h == h
+            assert_layer_matches_scan(grid, k)
+            runs.append((sense(grid, (0, 0), h, KnownSet()).cells, gains, k.layer.gains))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == frozenset(grid.cells())
+
     def test_directly_built_set_is_scanned(self):
         grid = big_empty()
         cells = frozenset((c, r) for c in range(3, 9) for r in range(5) if (c, r) != (5, 2))

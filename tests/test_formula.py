@@ -55,7 +55,7 @@ class TestCanonicalConstructors:
         assert disj(A, conj(A, B)) == A
 
     def test_canonical_rebuilds_raw_nodes(self):
-        raw = Or(And(TOP, A), And(TOP, A))
+        raw = Or(frozenset({And(frozenset({TOP, A})), And(frozenset({A, Or(frozenset({A}))}))}))
         assert canonical(raw) == A
 
     def test_nested_eventually_collapses(self):

@@ -1,9 +1,11 @@
 """Input boundaries under random input: map text, formula text and
-automaton JSON fail only with their documented errors, and the CLI turns
-every bad map and every bad formula into exit code 2."""
+automaton JSON fail only with their documented errors, the CLI turns
+every bad map and every bad formula into exit code 2, and every valid
+formula text compiles to an automaton that agrees with the formula."""
 
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -13,9 +15,18 @@ from hypothesis import strategies as st
 
 from tlfrontier.cli import main
 from tlfrontier.env import MapFormatError, format_map, load_map
-from tlfrontier.scltl import AlphabetError, DfaError, ObservationSet, ParseError, TotalDfa, parse_formula
+from tlfrontier.scltl import (
+    AlphabetError,
+    DfaError,
+    ObservationSet,
+    ParseError,
+    StateLimitError,
+    TotalDfa,
+    compile_dfa,
+    parse_formula,
+)
 
-from helpers import MAPS_DIR, TWO_A_DFA
+from helpers import MAPS_DIR, TWO_A_DFA, random_word, some_prefix_holds
 
 MAP_TOKENS = [
     "map", "start", "legend", " ", "\n", "\r", "\t", "0", "1", "2", "3", "-1", "x",
@@ -162,3 +173,27 @@ def test_cli_exits_2_on_every_bad_formula(text):
         code = main(["run", "--map", str(MAPS_DIR / "rescue.map"), f"--formula={text}"])
     assert code == 2
     assert err.getvalue().startswith("error:")
+
+
+valid_formula_texts = st.recursive(
+    st.sampled_from(["l", "p", "s", "!l", "!p", "!s", "true"]),
+    lambda sub: st.one_of(
+        sub.map(lambda a: f"F {a}"),
+        st.tuples(sub, st.sampled_from(["&", "|", "U"]), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    ),
+    max_leaves=12,
+)
+
+
+@given(valid_formula_texts)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_valid_formula_text_compiles_to_an_agreeing_automaton(text):
+    phi = parse_formula(text, RESCUE_ATOMS)
+    try:
+        dfa = compile_dfa(phi, RESCUE_ATOMS)
+    except StateLimitError:
+        return  # `run` reports this as exit 2
+    rng = random.Random(text)
+    for _ in range(20):
+        word = random_word(rng, RESCUE_ATOMS.names, 6)
+        assert dfa.accepts(word) == some_prefix_holds(phi, word), word
