@@ -5,6 +5,10 @@ automaton accepts from its initial state is not accepted from s. Deciding
 this reduces to reachability in the automaton's product with itself: the
 pair (initial, s) must reach a pair whose first component accepts while the
 second does not.
+
+The product keeps each reachable pair's successors once, as a tuple in
+canonical letter order zipped from the two states' rows of the transition
+table; letters are only named again when a witness word is read off.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ class SelfProduct:
     states: tuple  # reachable (s, s') pairs
     initials: frozenset
     targets: frozenset  # accepting x non-accepting, over reachable pairs
-    transitions: dict  # (pair, letter) -> pair
+    successors: dict  # pair -> successor pairs, in canonical letter order
 
 
 @dataclass(frozen=True)
@@ -51,45 +55,47 @@ def _initial_pairs(dfa: TotalDfa) -> list:
 def self_product(dfa: TotalDfa) -> SelfProduct:
     """Materialize the pairs reachable from the initial pairs."""
     letters = dfa.alphabet.letters()
+    rows = {s: tuple(dfa.transitions[(s, l)] for l in letters) for s in dfa.states}
     initials = _initial_pairs(dfa)
-    seen = set(initials)
-    order = list(initials)
-    transitions = {}
+    # every reached pair is one shared object, so the successor tuples hold
+    # pairs x 2^|O| references rather than as many fresh 2-tuples
+    seen = {pair: pair for pair in initials}
+    successors = {}
     queue = deque(initials)
     while queue:
         pair = queue.popleft()
         a, b = pair
-        for l in letters:
-            nxt = (dfa.transitions[(a, l)], dfa.transitions[(b, l)])
-            transitions[(pair, l)] = nxt
+        for nxt in dict.fromkeys(zip(rows[a], rows[b])):
             if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
+                seen[nxt] = nxt
                 queue.append(nxt)
+        successors[pair] = tuple(map(seen.__getitem__, zip(rows[a], rows[b])))
     targets = frozenset(
         (a, b) for (a, b) in seen if a in dfa.accepting and b not in dfa.accepting
     )
     return SelfProduct(
-        states=tuple(order),
+        states=tuple(successors),
         initials=frozenset(initials),
         targets=targets,
-        transitions=transitions,
+        successors=successors,
     )
 
 
 def commit_states(dfa: TotalDfa) -> CommitReport:
     """All commit states, each with a shortest witness word.
 
-    One backward breadth-first search from the target pairs answers the
-    reachability question for every initial pair at once; witnesses are
-    read off by walking distances downhill.
+    One backward breadth-first search from the target pairs, over each
+    pair's distinct predecessors, answers the reachability question for
+    every initial pair at once; witnesses are read off by walking distances
+    downhill, taking the first letter in canonical order at each step.
     """
     product = self_product(dfa)
     letters = dfa.alphabet.letters()
 
     preds = {}
-    for (pair, l), nxt in product.transitions.items():
-        preds.setdefault(nxt, []).append(pair)
+    for pair, succ in product.successors.items():
+        for nxt in set(succ):
+            preds.setdefault(nxt, []).append(pair)
     dist, _ = bfs(product.targets, lambda pair: ((None, prev) for prev in preds.get(pair, ())))
 
     commits = set()
@@ -102,9 +108,9 @@ def commit_states(dfa: TotalDfa) -> CommitReport:
         word = []
         cur = pair
         while dist[cur] > 0:
-            for l in letters:
-                nxt = product.transitions[(cur, l)]
-                if nxt in dist and dist[nxt] == dist[cur] - 1:
+            downhill = dist[cur] - 1
+            for l, nxt in zip(letters, product.successors[cur]):
+                if dist.get(nxt) == downhill:
                     word.append(l)
                     cur = nxt
                     break

@@ -191,11 +191,15 @@ def atoms(phi: Formula) -> frozenset:
     raise FormulaError(f"unknown node: {phi!r}")
 
 
-def progress(phi: Formula, l: Letter) -> Formula:
+def progress(phi: Formula, l: Letter, memo: dict = None) -> Formula:
     """One-step progression: the obligation that remains after reading `l`.
 
     Returns TOP when the letter completes the formula and BOTTOM when no
-    extension can satisfy it anymore.
+    extension can satisfy it anymore. The result reads only the names of
+    `l` that `phi` mentions. A caller that progresses many formulas
+    sharing subformulas can pass `memo`, a dict it owns: each until and
+    eventually node met is then progressed once per letter and its result
+    kept there under `(node, l)`.
     """
     match phi:
         case Top():
@@ -207,14 +211,27 @@ def progress(phi: Formula, l: Letter) -> Formula:
         case NegObs(name):
             return BOTTOM if name in l else TOP
         case And(parts):
-            return conj(*(progress(x, l) for x in parts))
+            return conj(*(progress(x, l, memo) for x in parts))
         case Or(parts):
-            return disj(*(progress(x, l) for x in parts))
-        case Until(a, b):
-            return disj(progress(b, l), conj(progress(a, l), phi))
-        case Eventually(sub):
-            return disj(progress(sub, l), phi)
+            return disj(*(progress(x, l, memo) for x in parts))
+        case Until() | Eventually():
+            if memo is None:
+                return _unroll(phi, l, memo)
+            key = (phi, l)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = _unroll(phi, l, memo)
+            return out
     raise FormulaError(f"unknown node: {phi!r}")
+
+
+def _unroll(phi: Formula, l: Letter, memo) -> Formula:
+    """Progression of an until or eventually node: `a U b` becomes
+    `b' | (a' & (a U b))` and `F b` becomes `b' | F b`, primes marking
+    progressed subformulas."""
+    if isinstance(phi, Until):
+        return disj(progress(phi.rhs, l, memo), conj(progress(phi.lhs, l, memo), phi))
+    return disj(progress(phi.sub, l, memo), phi)
 
 
 def is_good_prefix(phi: Formula, word) -> bool:

@@ -344,3 +344,31 @@ def test_automaton_file_with_40_names_is_rejected_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "not total" in err
+
+
+WIDE_NAMES = [f"o{i}" for i in range(40)]
+
+
+def test_formula_over_40_names_is_rejected_at_once(capsys):
+    # 2^40 letters cannot be enumerated; the compiler's budget refuses them first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compile", "--formula", "F o0", "--alphabet", ",".join(WIDE_NAMES))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_map_legend_of_40_names_is_rejected_at_once(tmp_path, capsys):
+    chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!#$%"
+    legend = " ".join(f"{c}={n}" for c, n in zip(chars, WIDE_NAMES))
+    path = tmp_path / "wide.map"
+    path.write_text(f"map 3 1\nstart 0 0\nlegend {legend}\n.A.\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--map", str(path), "--formula", "F o0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

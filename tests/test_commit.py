@@ -37,8 +37,7 @@ class TestSelfProduct:
                 cur = stack.pop()
                 if cur in prod.targets:
                     return True
-                for l in dfa.alphabet.letters():
-                    nxt = prod.transitions[(cur, l)]
+                for nxt in prod.successors[cur]:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
@@ -51,6 +50,19 @@ class TestSelfProduct:
         dfa = phi0_dfa(abc)
         prod = self_product(dfa)
         assert len(prod.states) <= len(dfa.states) ** 2
+
+    def test_successors_follow_canonical_letter_order(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            dfa = random_total_dfa(rng, max_states=6, obs=("a", "b", "c"))
+            prod = self_product(dfa)
+            letters = dfa.alphabet.letters()
+            assert list(prod.successors) == list(prod.states)
+            for (a, b), succ in prod.successors.items():
+                assert len(succ) == len(letters)
+                for i, l in enumerate(letters):
+                    assert succ[i] == (dfa.step(a, l), dfa.step(b, l))
+                    assert succ[i] in prod.successors  # closed under successors
 
 
 class TestCommitStates:

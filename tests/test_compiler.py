@@ -18,13 +18,14 @@ from tlfrontier.scltl import (
     Formula,
     ObservationSet,
     StateLimitError,
+    atoms,
     compile_dfa,
     is_good_prefix,
     parse_formula,
     progress,
     pruned_distances,
 )
-from tlfrontier.scltl import formula
+from tlfrontier.scltl import compiler, formula
 
 from helpers import holds, random_formula, random_word, some_prefix_holds
 
@@ -83,6 +84,24 @@ class TestCompileBasics:
     def test_state_budget(self, abc):
         with pytest.raises(StateLimitError):
             compile_dfa(parse_formula("(F a) & (F b) & (F c)", abc), abc, max_states=2)
+
+    def test_state_budget_counts_progressed_states(self):
+        # 4 letters fit a budget of 4; the 5 raw states of a four-step sequence do not
+        al = ObservationSet(["a", "b"])
+        phi = parse_formula("F (a & F (b & F (a & F b)))", al)
+        compile_dfa(phi, al, max_states=5)
+        with pytest.raises(StateLimitError, match="more than 4 states"):
+            compile_dfa(phi, al, max_states=4)
+
+    def test_alphabet_wider_than_the_budget_is_rejected_before_its_letters(self, monkeypatch):
+        wide = ObservationSet([f"o{i}" for i in range(40)])
+
+        def no_letters(self):
+            raise AssertionError("the letters of a 40-name alphabet were built")
+
+        monkeypatch.setattr(ObservationSet, "letters", no_letters)
+        with pytest.raises(StateLimitError, match="40 observations make more than 4096 letters"):
+            compile_dfa(parse_formula("F o0", wide), wide)
 
     def test_eventually_chain_compiles_like_one_eventually(self):
         # every F F ... F p is F p; the chain is collapsed before compiling
@@ -230,6 +249,44 @@ class TestGoodPrefixClosure:
                         seen.add(t)
                         stack.append(t)
             assert set(dfa.live_states()) <= seen
+
+
+class TestProgressionWork:
+    """How often the closure progresses, counted through the module
+    global it calls, in place of a timing test."""
+
+    @staticmethod
+    def progress_calls(monkeypatch, phi, alphabet) -> list:
+        calls = []
+
+        def counted(f, l, memo=None):
+            calls.append((f, l))
+            return progress(f, l, memo)
+
+        monkeypatch.setattr(compiler, "progress", counted)
+        compile_dfa(phi, alphabet)
+        return calls
+
+    def test_each_state_is_progressed_once_per_restricted_letter(self, monkeypatch):
+        families = ("conj", "nest", "until", "choice")
+        items = [
+            item for item in json.loads(COMPILE_WIDE.read_text())["items"] if item["group"][:-1] in families
+        ]
+        assert {item["group"] for item in items} == {f + n for f in families for n in "456"}
+        for item in items:
+            alphabet = ObservationSet(item["atoms"])
+            calls = self.progress_calls(monkeypatch, parse_formula(item["formula"], alphabet), alphabet)
+            assert len(set(calls)) == len(calls), item["id"]  # no (state, letter) twice
+            assert all(l <= atoms(f) for f, l in calls), item["id"]  # only restricted letters
+            # every restriction of a state's atoms is met by some letter
+            assert len(calls) == sum(2 ** len(atoms(f)) for f in {f for f, _ in calls}), item["id"]
+
+    def test_no_progression_is_kept_from_one_compile_to_the_next(self, monkeypatch):
+        alphabet = ObservationSet(["a0", "a1", "a2", "a3", "a4"])
+        phi = parse_formula("F a0 & F a1 & F a2 & F a3 & F a4", alphabet)
+        first = self.progress_calls(monkeypatch, phi, alphabet)
+        assert self.progress_calls(monkeypatch, phi, alphabet) == first
+        assert len(first) == 3**5  # sum over the 2^5 states of 2^|atoms|
 
 
 class TestNumbering:

@@ -194,6 +194,29 @@ class TestProgression:
         assert progress(TOP, L({"a"})) == TOP
         assert progress(BOTTOM, L()) == BOTTOM
 
+    def test_progression_reads_only_the_formulas_atoms(self):
+        """The compiler progresses each state once per restriction
+        `l & atoms(f)` and shares the result among the letters that have it."""
+        rng = random.Random(41)
+        for _ in range(300):
+            phi = random_formula(rng, ["a", "b", "c"], depth=4)
+            for _ in range(6):
+                l = L(n for n in ("a", "b", "c", "x", "y") if rng.random() < 0.5)
+                assert progress(phi, l) == progress(phi, l & atoms(phi)), (phi, l)
+
+    def test_memoized_progression_equals_plain_progression(self):
+        """One memo shared across formulas and letters, as in one compile."""
+        rng = random.Random(42)
+        memo = {}
+        pairs = [
+            (random_formula(rng, ["a", "b", "c"], depth=4), L(n for n in "abc" if rng.random() < 0.4))
+            for _ in range(400)
+        ]
+        for phi, l in pairs + pairs:  # the second pass reads the memo
+            assert progress(phi, l, memo) == progress(phi, l), (phi, l)
+        assert memo
+        assert all(isinstance(node, (Until, Eventually)) for node, _ in memo)
+
 
 class TestGoodPrefix:
     def test_top_accepts_empty(self):
